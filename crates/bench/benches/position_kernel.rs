@@ -5,10 +5,10 @@
 //! regime the ESCALATE paper optimizes: ~95% coefficient sparsity meeting
 //! mostly-nonzero activations). `scripts/tier1.sh` runs this in criterion
 //! test mode (`-- --test`) so the bench executes in CI; `cargo bench
-//! --bench position_kernel` measures it (add `--features escalate-sim/simd`
-//! for the `std::arch` dispatch).
+//! --bench position_kernel` measures it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use escalate_models::hash::splitmix64;
 use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
 use escalate_sim::SimConfig;
 
@@ -20,15 +20,6 @@ const M: usize = 6;
 /// length so one iteration is one realistic channel visit.
 const POSITIONS: usize = 48;
 
-/// Deterministic splitmix64 — mask material without RNG dependencies.
-fn splitmix(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// A `C`-channel mask with roughly `keep_per_mille`/1000 bits set.
 fn mask(seed: &mut u64, keep_per_mille: u64) -> Vec<u64> {
     let words = C.div_ceil(64);
@@ -36,7 +27,7 @@ fn mask(seed: &mut u64, keep_per_mille: u64) -> Vec<u64> {
         .map(|_| {
             let mut w = 0u64;
             for b in 0..64 {
-                if splitmix(seed) % 1000 < keep_per_mille {
+                if splitmix64(seed) % 1000 < keep_per_mille {
                     w |= 1 << b;
                 }
             }

@@ -23,6 +23,7 @@
 use super::{Cell, ExpContext, ExpError, Experiment, Record, Table};
 use crate::tline;
 use crate::{run_model, ModelRun};
+use escalate_models::hash::splitmix64;
 use escalate_models::ModelProfile;
 use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
 use escalate_sim::{PositionCost, SimConfig};
@@ -66,22 +67,13 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Deterministic splitmix64 — mask material without RNG dependencies.
-fn splitmix(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 fn mask(seed: &mut u64, c: usize, keep_per_mille: u64) -> Vec<u64> {
     let words = c.div_ceil(64);
     let mut v: Vec<u64> = (0..words)
         .map(|_| {
             let mut w = 0u64;
             for b in 0..64 {
-                if splitmix(seed) % 1000 < keep_per_mille {
+                if splitmix64(seed) % 1000 < keep_per_mille {
                     w |= 1 << b;
                 }
             }

@@ -4,7 +4,7 @@ use escalate_sim::SimConfig;
 
 /// Everything an [`super::Experiment`] needs to run: the simulator
 /// configuration, the number of input seeds to average, and any
-/// positional arguments forwarded from the invoking binary (e.g. the
+/// positional arguments forwarded after `--` (e.g. the
 /// model override of `fig11`, or `bench_sim`'s output path).
 /// Compression always goes through the per-process
 /// [`crate::compress_cached`] artifact cache, so a multi-experiment

@@ -2,11 +2,10 @@
 //!
 //! Every table, figure and ablation of the evaluation is one
 //! [`Experiment`]: a named, paper-anchored producer of a [`Table`]. The
-//! [`registry`] lists all of them; the `report` runner (and the
-//! `escalate report` CLI subcommand) drive the registry to print, export
+//! [`registry`] lists all of them; the report runner behind the
+//! `escalate report` CLI subcommand drives the registry to print, export
 //! (JSON), regenerate (`--update`) or regression-check (`--check`) the
-//! golden corpus under `results/`. The historical standalone binaries
-//! (`fig8`, `table1`, …) survive as thin wrappers over [`run_bin`].
+//! golden corpus under `results/`.
 
 mod context;
 mod runner;
@@ -35,7 +34,7 @@ mod table1;
 mod table4;
 
 pub use context::ExpContext;
-pub use runner::{report_main, run_report, ReportOptions};
+pub use runner::{run_report, ReportOptions};
 pub use table::{Cell, Record, Table, REPORT_SCHEMA};
 
 use escalate_core::EscalateError;
@@ -79,8 +78,7 @@ impl From<std::io::Error> for ExpError {
 
 /// One registered experiment: a named producer of a [`Table`].
 pub trait Experiment: Sync {
-    /// Registry name — also the binary name and the `results/<name>.txt`
-    /// golden file stem.
+    /// Registry name — also the `results/<name>.txt` golden file stem.
     fn name(&self) -> &'static str;
 
     /// Where in the paper the output belongs (`"Figure 8"`, `"§6.3"`, …).
@@ -135,27 +133,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
 /// Looks an experiment up by registry name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     registry().iter().copied().find(|e| e.name() == name)
-}
-
-/// Entry point of the thin standalone wrappers: runs the named experiment
-/// with default context plus the process's positional arguments, prints
-/// its text, and maps failures to a nonzero exit.
-pub fn run_bin(name: &str) -> std::process::ExitCode {
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let ctx = ExpContext {
-        args: std::env::args().skip(1).collect(),
-        ..ExpContext::default()
-    };
-    match exp.run(&ctx) {
-        Ok(table) => {
-            print!("{}", table.render_text());
-            std::process::ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {name}: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]

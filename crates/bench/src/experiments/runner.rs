@@ -1,14 +1,14 @@
-//! The `report` runner: one driver for the whole experiment registry,
-//! built on the shared run-plan layer (`crate::plan`).
+//! The `escalate report` runner: one entry point for the whole experiment
+//! registry, built on the shared run-plan layer (`crate::plan`).
 //!
 //! ```text
-//! report --list                 # enumerate the registry
-//! report fig8 table4            # run named experiments, text to stdout
-//! report --all                  # run every golden experiment
-//! report --json fig8            # JSON (escalate-report/v1) instead of text
-//! report --out DIR --all        # one file per experiment instead of stdout
-//! report --all --update         # regenerate the results/ golden corpus
-//! report --all --check          # diff against results/, nonzero on drift
+//! escalate report --list            # enumerate the registry
+//! escalate report fig8 table4       # run named experiments, text to stdout
+//! escalate report --all             # run every golden experiment
+//! escalate report --json fig8       # JSON (escalate-report/v1) instead of text
+//! escalate report --out DIR --all   # one file per experiment instead of stdout
+//! escalate report --all --update    # regenerate the results/ golden corpus
+//! escalate report --all --check     # diff against results/, nonzero on drift
 //! ```
 //!
 //! The selected experiments form a [`ReportPlan`] (one work unit per
@@ -24,7 +24,7 @@
 //! are skipped by `--all`, `--check` and `--update` but still runnable by
 //! name. Flags accept both `--key value` and `--key=value`. Arguments
 //! after `--` are forwarded to the experiments verbatim
-//! (e.g. `report fig11 -- MobileNet`).
+//! (e.g. `escalate report fig11 -- MobileNet`).
 
 use super::{find, registry, ExpContext, ExpError, Experiment};
 use crate::plan::{self, RunPlan, UnitOutput, UnitSink, WorkUnit};
@@ -378,29 +378,6 @@ pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, Exp
         true
     };
     Ok(clean)
-}
-
-/// Entry point shared by the `report` binary and `escalate report`:
-/// parses `argv` (without the program name) and maps failures and golden
-/// drift to a nonzero exit.
-pub fn report_main<I: IntoIterator<Item = String>>(argv: I) -> std::process::ExitCode {
-    let opts = match ReportOptions::parse(argv) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("usage: report [--list] [--all] [--json] [--check | --update] [--out DIR] [--results DIR] [NAME ...] [-- ARGS]");
-            eprintln!("error: {msg}");
-            return std::process::ExitCode::from(2);
-        }
-    };
-    let mut stdout = std::io::stdout().lock();
-    match run_report(&opts, &mut stdout) {
-        Ok(true) => std::process::ExitCode::SUCCESS,
-        Ok(false) => std::process::ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]

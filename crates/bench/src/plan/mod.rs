@@ -25,6 +25,7 @@ pub mod jsonl;
 pub use jsonl::JsonlSink;
 
 use crate::experiments::{ExpError, Table};
+use escalate_models::hash::{splitmix64_mix, SPLITMIX_GAMMA};
 use rayon::prelude::*;
 
 /// One schedulable unit of work inside a [`RunPlan`].
@@ -130,10 +131,7 @@ pub struct ExecSummary {
 /// same seed whether the plan enumerates 2 units or 2000, and regardless
 /// of which units a resumed run skips.
 pub fn unit_seed(master: u64, index: u64) -> u64 {
-    let mut z = master ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64_mix(master ^ index.wrapping_mul(SPLITMIX_GAMMA))
 }
 
 /// Checks that `order` is a permutation of `0..n`.

@@ -20,6 +20,7 @@
 use crate::experiments::ExpError;
 use crate::plan::{self, JsonlSink, RunPlan, UnitOutput, WorkUnit};
 use escalate_core::pipeline::CompressionConfig;
+use escalate_models::hash::splitmix64;
 use escalate_models::ModelProfile;
 use escalate_obs::{json_f64_field, json_string_field, json_u64_field, JsonWriter};
 use escalate_sim::{DesignPoint, ScheduleKind};
@@ -161,11 +162,7 @@ struct SplitMix(u64);
 
 impl SplitMix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     fn pick(&mut self, options: &[usize]) -> usize {

@@ -13,6 +13,8 @@ pub struct ParsedArgs {
     pub positional: Vec<String>,
     /// Options: `--key value` pairs; bare `--flag` maps to `"true"`.
     pub options: HashMap<String, String>,
+    /// Arguments after a bare `--`, verbatim.
+    pub forwarded: Vec<String>,
 }
 
 /// Parsing errors with user-facing messages.
@@ -86,6 +88,10 @@ impl ParsedArgs {
         let mut out = ParsedArgs::default();
         let mut iter = args.into_iter().map(Into::into).peekable();
         while let Some(a) = iter.next() {
+            if a == "--" {
+                out.forwarded.extend(iter);
+                break;
+            }
             if let Some(key) = a.strip_prefix("--") {
                 let (k, v) = if let Some((k, v)) = key.split_once('=') {
                     // `--key=value`: the value is inline (and may itself
@@ -139,12 +145,16 @@ impl ParsedArgs {
         self.options.get(key).is_some_and(|v| v == "true")
     }
 
-    /// Rejects options outside the allowed set.
+    /// Rejects options outside the allowed set, and forwarded arguments
+    /// unless `"--"` is allowed.
     ///
     /// # Errors
     ///
     /// Returns [`ArgError::UnknownOption`] for the first unknown option.
     pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
+        if !self.forwarded.is_empty() && !allowed.contains(&"--") {
+            return Err(ArgError::UnknownOption(String::new()));
+        }
         for k in self.options.keys() {
             if !allowed.contains(&k.as_str()) {
                 return Err(ArgError::UnknownOption(k.clone()));
@@ -157,6 +167,19 @@ impl ParsedArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn forwards_everything_after_a_bare_double_dash() {
+        let a = ParsedArgs::parse(["report", "fig11", "--", "MobileNet", "--m"]).unwrap();
+        assert_eq!(a.positional, vec!["fig11"]);
+        assert_eq!(a.forwarded, vec!["MobileNet", "--m"]);
+        assert!(a.options.is_empty());
+        assert!(a.ensure_known(&["--"]).is_ok());
+        assert_eq!(
+            a.ensure_known(&[]),
+            Err(ArgError::UnknownOption(String::new()))
+        );
+    }
 
     #[test]
     fn parses_command_positionals_and_options() {

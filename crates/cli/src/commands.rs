@@ -109,6 +109,8 @@ COMMANDS:
         --update       regenerate the results/ golden corpus
         --out <DIR>    one file per experiment instead of stdout
         --results <DIR> golden corpus location (default results/)
+        -- <ARG ...>   forwarded to the experiments (fig11's model,
+                       bench_sim's output file)
     serve                          run the batching simulation daemon
                                    (line-JSON over TCP on 127.0.0.1;
                                    blocks until a shutdown request)
@@ -221,9 +223,11 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["list", "all", "json", "check", "update", "out", "results"])?;
-    // Rebuild a runner argv so `escalate report` and the standalone
-    // `report` binary share one parser (and its validation). The generic
+    args.ensure_known(&[
+        "list", "all", "json", "check", "update", "out", "results", "--",
+    ])?;
+    // Rebuild a runner argv so `escalate report` goes through the
+    // runner's own parser (and its validation). The generic
     // CLI parser eats the token after a bare flag as its value
     // (`report --check table4` parses as check="table4"), so a non-"true"
     // value on a boolean flag is really the flag plus an experiment name.
@@ -243,6 +247,10 @@ fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
         }
     }
     argv.extend(args.positional.iter().cloned());
+    if !args.forwarded.is_empty() {
+        argv.push("--".into());
+        argv.extend(args.forwarded.iter().cloned());
+    }
     let opts = escalate_bench::experiments::ReportOptions::parse(argv).map_err(|msg| {
         CliError::Args(ArgError::BadValue {
             option: "report".into(),

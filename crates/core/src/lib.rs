@@ -23,9 +23,12 @@
 //! - [`dsc`] — decomposition of depthwise-separable convolutions and the
 //!   Hadamard fold of pointwise weights into the coefficients (Eq. (5)),
 //! - [`pipeline`] — the whole-model compression pipeline with exact
-//!   SparseMap storage accounting (regenerates Table 1).
+//!   SparseMap storage accounting (regenerates Table 1),
+//! - [`cache`] — the bounded single-flight cache behind every
+//!   process-wide cache in the workspace.
 
 pub mod artifact;
+pub mod cache;
 pub mod decompose;
 pub mod dsc;
 pub mod error;

@@ -11,6 +11,7 @@
 //! (§3.2), FC layers are not counted (§5.1.2), and depthwise/pointwise
 //! pairs are folded through Eq. (5).
 
+use crate::cache::{Lookup, SingleFlightCache};
 use crate::decompose::{decompose, Decomposed};
 use crate::dsc::decompose_dsc;
 use crate::error::EscalateError;
@@ -20,8 +21,8 @@ use escalate_models::{synth, LayerKind, LayerShape, ModelProfile};
 use escalate_sparse::TwoLevelSparseMap;
 use escalate_tensor::{Matrix, Tensor};
 use rayon::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the compression pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -551,73 +552,44 @@ fn plan_units(profile: &ModelProfile, cfg: &CompressionConfig) -> Vec<UnitPlan> 
 /// larger zoo just loses cross-network reuse, never correctness.
 const DEFAULT_REUSE_CAP: usize = 128;
 
-/// A minimal bounded map with LRU eviction by access stamp (the same
-/// shape as the simulator's derived-state cache). Eviction scans for the
-/// stalest entry, which is fine because it only runs when full.
-struct ReuseCache<V> {
-    entries: HashMap<String, (V, u64)>,
-    stamp: u64,
-    capacity: usize,
-}
-
-impl<V: Clone> ReuseCache<V> {
-    fn new(capacity: usize) -> Self {
-        ReuseCache {
-            entries: HashMap::new(),
-            stamp: 0,
-            capacity,
-        }
-    }
-
-    fn get(&mut self, key: &str) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    fn insert(&mut self, key: String, value: V) {
-        self.stamp += 1;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-            }
-        }
-        self.entries.insert(key, (value, self.stamp));
-    }
-}
-
 /// The three opt-in reuse caches: synthetic weight tensors and pointwise
 /// weight matrices (`M`-invariant for every unit kind), and finished
 /// `M`-invariant units (pointwise/dense, which never consult `M`).
 struct ReuseCaches {
-    weights: Mutex<ReuseCache<Arc<Tensor>>>,
-    pointwise: Mutex<ReuseCache<Arc<Matrix>>>,
-    units: Mutex<ReuseCache<Arc<CompressedLayer>>>,
+    weights: SingleFlightCache<String, Arc<Tensor>>,
+    pointwise: SingleFlightCache<String, Arc<Matrix>>,
+    units: SingleFlightCache<String, Arc<CompressedLayer>>,
 }
 
 fn reuse_caches() -> &'static ReuseCaches {
     static CACHES: OnceLock<ReuseCaches> = OnceLock::new();
     CACHES.get_or_init(|| ReuseCaches {
-        weights: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
-        pointwise: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
-        units: Mutex::new(ReuseCache::new(DEFAULT_REUSE_CAP)),
+        weights: SingleFlightCache::new(DEFAULT_REUSE_CAP),
+        pointwise: SingleFlightCache::new(DEFAULT_REUSE_CAP),
+        units: SingleFlightCache::new(DEFAULT_REUSE_CAP),
     })
+}
+
+/// Counts one synthesis-cache lookup (`pipeline.synth_*`).
+fn count_synth<V>(look: Lookup<V>) -> V {
+    escalate_obs::counter_add(
+        if look.hit {
+            "pipeline.synth_hits"
+        } else {
+            "pipeline.synth_misses"
+        },
+        1,
+    );
+    if look.evicted > 0 {
+        escalate_obs::counter_add("pipeline.synth_evictions", look.evicted);
+    }
+    look.value
 }
 
 /// [`synth::weights`], shared across design points when `reuse` is set.
 /// The key carries everything the synthesis reads (the full layer shape,
 /// rank, noise bits, seed), so a hit is the bit-identical tensor the
-/// miss path would have built. Concurrent misses may both synthesize —
-/// the result is deterministic, so last-write-wins is harmless.
+/// miss path would have built.
 fn synth_weights(
     layer: &LayerShape,
     rank: usize,
@@ -626,54 +598,30 @@ fn synth_weights(
     reuse: bool,
 ) -> Arc<Tensor> {
     let _t = escalate_obs::span("pipeline.synth");
+    let build = || Arc::new(synth::weights(layer, rank, noise, seed));
     if !reuse {
-        return Arc::new(synth::weights(layer, rank, noise, seed));
+        return build();
     }
     let key = format!("{layer:?}|r{rank}|n{:08x}|s{seed}", noise.to_bits());
-    if let Some(hit) = reuse_caches()
+    let Ok(look) = reuse_caches()
         .weights
-        .lock()
-        .expect("weight reuse cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("pipeline.synth_hits", 1);
-        return hit;
-    }
-    let w = Arc::new(synth::weights(layer, rank, noise, seed));
-    escalate_obs::counter_add("pipeline.synth_misses", 1);
-    reuse_caches()
-        .weights
-        .lock()
-        .expect("weight reuse cache poisoned")
-        .insert(key, Arc::clone(&w));
-    w
+        .get_or_compute(key, || Ok::<_, Infallible>(build()));
+    count_synth(look)
 }
 
 /// [`synth::pointwise_weights`] with the same opt-in sharing as
 /// [`synth_weights`].
 fn synth_pointwise(c: usize, k: usize, seed: u64, reuse: bool) -> Arc<Matrix> {
     let _t = escalate_obs::span("pipeline.synth");
+    let build = || Arc::new(synth::pointwise_weights(c, k, seed));
     if !reuse {
-        return Arc::new(synth::pointwise_weights(c, k, seed));
+        return build();
     }
     let key = format!("pw|c{c}|k{k}|s{seed}");
-    if let Some(hit) = reuse_caches()
+    let Ok(look) = reuse_caches()
         .pointwise
-        .lock()
-        .expect("pointwise reuse cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("pipeline.synth_hits", 1);
-        return hit;
-    }
-    let w = Arc::new(synth::pointwise_weights(c, k, seed));
-    escalate_obs::counter_add("pipeline.synth_misses", 1);
-    reuse_caches()
-        .pointwise
-        .lock()
-        .expect("pointwise reuse cache poisoned")
-        .insert(key, Arc::clone(&w));
-    w
+        .get_or_compute(key, || Ok::<_, Infallible>(build()));
+    count_synth(look)
 }
 
 /// The unit-cache key for units whose artifact never consults `M` —
@@ -699,34 +647,25 @@ fn compress_unit(
     unit: &UnitPlan,
     cfg: &CompressionConfig,
 ) -> Result<CompressedLayer, EscalateError> {
-    let cache_key = if cfg.reuse_units {
-        if let Some(key) = m_invariant_unit_key(unit, cfg) {
-            if let Some(hit) = reuse_caches()
-                .units
-                .lock()
-                .expect("unit reuse cache poisoned")
-                .get(&key)
-            {
-                escalate_obs::counter_add("pipeline.unit_hits", 1);
-                return Ok((*hit).clone());
-            }
-            Some(key)
-        } else {
-            None
-        }
-    } else {
-        None
+    let key = cfg.reuse_units.then(|| m_invariant_unit_key(unit, cfg));
+    let Some(key) = key.flatten() else {
+        return compress_unit_fresh(unit, cfg);
     };
-    let out = compress_unit_fresh(unit, cfg)?;
-    if let Some(key) = cache_key {
-        escalate_obs::counter_add("pipeline.unit_misses", 1);
-        reuse_caches()
-            .units
-            .lock()
-            .expect("unit reuse cache poisoned")
-            .insert(key, Arc::new(out.clone()));
+    let look = reuse_caches()
+        .units
+        .get_or_compute(key, || compress_unit_fresh(unit, cfg).map(Arc::new))?;
+    escalate_obs::counter_add(
+        if look.hit {
+            "pipeline.unit_hits"
+        } else {
+            "pipeline.unit_misses"
+        },
+        1,
+    );
+    if look.evicted > 0 {
+        escalate_obs::counter_add("pipeline.unit_evictions", look.evicted);
     }
-    Ok(out)
+    Ok((*look.value).clone())
 }
 
 /// The uncached body of [`compress_unit`].

@@ -22,11 +22,14 @@
 //!   workloads can be loaded from (and saved to) text files,
 //! - [`generate`] — parametric generators for shapes the zoo lacks
 //!   (grouped/dilated conv, bottleneck stages, ViT-style blocks),
+//! - [`hash`] — the one FNV-1a hash and splitmix64 mixer every crate
+//!   derives seeds and fingerprints from,
 //! - [`resolve`] — the single front door mapping a spec string (zoo name,
 //!   `@file`, `gen:...`) to a [`ModelProfile`].
 
 pub mod analysis;
 pub mod generate;
+pub mod hash;
 pub mod layer;
 pub mod netdesc;
 pub mod profiles;

@@ -6,6 +6,7 @@
 //! ratios) are reprinted by the Table 1 harness next to our measured
 //! values.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::zoo::Model;
 
 /// Dataset a model was evaluated on.
@@ -191,23 +192,16 @@ impl ModelProfile {
     /// describe different networks (a zoo model vs a custom file, say)
     /// fingerprint differently, so caches keyed on it never conflate them.
     pub fn fingerprint(&self) -> u64 {
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        }
-        let mut h = 0xCBF2_9CE4_8422_2325u64; // FNV-1a offset basis
-        h = eat(h, self.name.as_bytes());
+        let mut h = fnv1a(FNV_OFFSET, self.name.as_bytes());
         for l in self.model().layers() {
-            h = eat(h, format!("{l:?}").as_bytes());
+            h = fnv1a(h, format!("{l:?}").as_bytes());
         }
         for v in [
             self.coeff_sparsity,
             self.baseline_weight_sparsity,
             self.mean_activation_sparsity,
         ] {
-            h = eat(h, &v.to_bits().to_le_bytes());
+            h = fnv1a(h, &v.to_bits().to_le_bytes());
         }
         h
     }

@@ -8,6 +8,7 @@
 use crate::client::submit;
 use crate::proto::{Request, RETRY_AFTER_MS};
 use crate::server::{start, ServeOptions};
+use escalate_models::hash::splitmix64;
 use escalate_obs::{json_string_field, JsonWriter};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -106,14 +107,6 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One scheduled request: what to send and when (offset from run start).
 struct Slot {
     at: Duration,
@@ -129,9 +122,9 @@ fn schedule(jobs: usize, seed: u64) -> Vec<Slot> {
     let mut at = Duration::ZERO;
     (0..jobs)
         .map(|_| {
-            at += Duration::from_millis(splitmix(&mut rng) % 120);
-            let model = zoo[(splitmix(&mut rng) as usize) % zoo.len()].to_string();
-            let req = if splitmix(&mut rng) % 10 < 7 {
+            at += Duration::from_millis(splitmix64(&mut rng) % 120);
+            let model = zoo[(splitmix64(&mut rng) as usize) % zoo.len()].to_string();
+            let req = if splitmix64(&mut rng) % 10 < 7 {
                 Request::Simulate {
                     model,
                     m: 6,

@@ -21,9 +21,7 @@
 //!   [`PositionKernel::cost_batch`] evaluates up to [`MAX_BATCH`]
 //!   positions per pass over the bound coefficient words, concentration
 //!   drains run on the bitmask
-//!   [`MaskConcentration`](escalate_sparse::MaskConcentration) model, and
-//!   (behind the `simd` cargo feature) the whole batch is recompiled with
-//!   `popcnt`/`bmi2`/`avx2` enabled and dispatched at runtime.
+//!   [`MaskConcentration`](escalate_sparse::MaskConcentration) model.
 //!   `tests/kernel_diff.rs` pins every path byte-for-byte equal to the
 //!   scalar reference.
 //!
@@ -36,9 +34,6 @@
 
 use crate::config::SimConfig;
 use escalate_sparse::{dilute_into, ConcentrationBuffer, DilutionInput, MaskConcentration};
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::simd;
 
 /// Unit activation values: the timing model only cares which positions are
 /// nonzero, so every nonzero activation streams as `1.0`.
@@ -326,15 +321,8 @@ impl LayerPlan {
     }
 }
 
-/// Per-word OR fold, through the AVX2 lane helper when the `simd` fast
-/// path is live.
+/// Per-word OR fold.
 fn or_words(dst: &mut [u64], src: &[u64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::enabled() {
-        // SAFETY: avx2 availability is part of `simd::enabled`.
-        unsafe { simd::or_words_into(dst, src) };
-        return;
-    }
     for (d, &s) in dst.iter_mut().zip(src) {
         *d |= s;
     }
@@ -342,17 +330,9 @@ fn or_words(dst: &mut [u64], src: &[u64]) {
 
 /// The dilution filter over compressed activations: the intersection bits
 /// gathered at the activation positions (`gather_bits(inter, aw)`), built
-/// with one rank popcount per survivor — or a single `pext` on the x86
-/// fast path.
+/// with one rank popcount per survivor.
 #[inline(always)]
-fn filter_mask(inter: u64, aw: u64, fast: bool) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if fast {
-        // SAFETY: the batch entry dispatched here only after
-        // `simd::enabled()` confirmed bmi2.
-        return unsafe { simd::pext(inter, aw) };
-    }
-    let _ = fast;
+fn filter_mask(inter: u64, aw: u64) -> u64 {
     let mut filter = 0u64;
     let mut bits = inter;
     while bits != 0 {
@@ -432,15 +412,11 @@ impl DrainBuf {
 ///    popcount-prefix table;
 /// 3. **Word-parallel arithmetic** — chunk-skipping is rank arithmetic
 ///    over `act ∩ union`, `matched` is popcount over the skip-table
-///    words, dilution filters are one rank popcount per survivor (or one
-///    `pext`), hole runs between matchable words coalesce into single
-///    `push_holes` calls, trailing holes are elided (they can never
+///    words, dilution filters are one rank popcount per survivor, hole
+///    runs between matchable words coalesce into single `push_holes`
+///    calls, trailing holes are elided (they can never
 ///    drain a row), and drains run on the bitmask
-///    [`MaskConcentration`] rows;
-/// 4. **`std::arch` dispatch** (`simd` feature) — the whole batch is
-///    recompiled with `popcnt`/`bmi2`/`avx2` enabled and selected by a
-///    runtime `is_x86_feature_detected!` gate, with the portable
-///    `u64::count_ones` path as the everywhere-correct fallback.
+///    [`MaskConcentration`] rows.
 #[derive(Debug, Clone)]
 pub struct PositionKernel {
     bus: usize,
@@ -614,29 +590,6 @@ impl PositionKernel {
     /// `n × words` long, `out` is shorter than `n`, or any mask has bits
     /// at or above `c`.
     pub fn cost_batch(&mut self, acts: &[u64], n: usize, out: &mut [PositionCost]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::enabled() {
-            // SAFETY: popcnt/bmi2/avx2 presence verified by the runtime
-            // gate inside `simd::enabled`.
-            unsafe { self.cost_batch_x86(acts, n, out) };
-            return;
-        }
-        self.cost_batch_impl(acts, n, out, false);
-    }
-
-    /// The batch body recompiled with the x86 bit-manipulation features
-    /// enabled, so every `count_ones` is a hardware `popcnt` and the
-    /// filter build is a `pext`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "popcnt", enable = "bmi2", enable = "avx2")]
-    unsafe fn cost_batch_x86(&mut self, acts: &[u64], n: usize, out: &mut [PositionCost]) {
-        self.cost_batch_impl(acts, n, out, true);
-    }
-
-    /// The shared batch body; `fast` routes the filter build through
-    /// `pext` (only ever `true` under the `target_feature` entry).
-    #[inline(always)]
-    fn cost_batch_impl(&mut self, acts: &[u64], n: usize, out: &mut [PositionCost], fast: bool) {
         let words = self.words;
         assert!(
             (1..=MAX_BATCH).contains(&n),
@@ -776,7 +729,7 @@ impl PositionKernel {
                                 self.conc.push_holes(pending_holes);
                                 pending_holes = 0;
                             }
-                            self.conc.push_mask(filter_mask(inter, aw, fast), cnt);
+                            self.conc.push_mask(filter_mask(inter, aw), cnt);
                         }
                     }
                     prev = wi + 1;

@@ -119,29 +119,31 @@ fn shared_walk(
         lw.shape.r * lw.shape.s,
         cfg,
     );
-    if let Some(sums) = crate::shared::cached_walk(&key) {
-        let agg = PositionAggregate {
-            sum_pos_cycles: sums.sum_pos_cycles,
-            sum_matched: sums.sum_matched,
-            sum_gather: sums.sum_gather,
-            sum_idle: sums.sum_idle,
-            max_mean_pos: sums.max_mean_pos,
-            max_block_time: sums.max_mean_pos * ctx.positions_per_slice() as f64,
-            sampled_channels: sampled_k.len(),
-            positions_per_channel: sp,
-            plan_compiles: 0,
-            plan_reuses: 1,
-        };
-        obs.on_walk(&agg);
+    let (sums, walked) = crate::shared::cached_walk(key, || {
+        // Hardware-invariant across design points: the walk consumes
+        // exactly `sampled_k.len() × sp` masks of the layer's Bernoulli
+        // stream, so the materialized block is bit-identical to the live
+        // draw.
+        let (words, _hit) = crate::shared::cached_masks(ls, ctx.c, keep_prob, sp, sampled_k.len());
+        let mut source = MaskSource::materialized(words, ctx.c, sp);
+        run_positions(ctx, cfg, sampled_k, &mut source, &mut *obs)
+    });
+    if let Some(agg) = walked {
         return agg;
     }
-    // Hardware-invariant across design points: the walk consumes exactly
-    // `sampled_k.len() × sp` masks of the layer's Bernoulli stream, so
-    // the materialized block is bit-identical to the live draw.
-    let (words, _hit) = crate::shared::cached_masks(ls, ctx.c, keep_prob, sp, sampled_k.len());
-    let mut source = MaskSource::materialized(words, ctx.c, sp);
-    let agg = run_positions(ctx, cfg, sampled_k, &mut source, obs);
-    crate::shared::store_walk(key, &agg);
+    let agg = PositionAggregate {
+        sum_pos_cycles: sums.sum_pos_cycles,
+        sum_matched: sums.sum_matched,
+        sum_gather: sums.sum_gather,
+        sum_idle: sums.sum_idle,
+        max_mean_pos: sums.max_mean_pos,
+        max_block_time: sums.max_mean_pos * ctx.positions_per_slice() as f64,
+        sampled_channels: sampled_k.len(),
+        positions_per_channel: sp,
+        plan_compiles: 0,
+        plan_reuses: 1,
+    };
+    obs.on_walk(&agg);
     agg
 }
 

@@ -9,6 +9,7 @@
 //! cursor so the shared position loop in [`crate::context`] is written
 //! once.
 
+use escalate_models::hash::{fnv1a, FNV_OFFSET};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -42,9 +43,7 @@ pub fn position_masks(ifm: &escalate_tensor::Tensor) -> Vec<Vec<u64>> {
 /// own independent RNG stream so layers can simulate in parallel while
 /// staying bit-identical to a sequential run.
 pub(crate) fn layer_seed(seed: u64, name: &str) -> u64 {
-    seed ^ name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
+    seed ^ fnv1a(FNV_OFFSET, name.as_bytes())
 }
 
 /// A supply of per-position activation masks for one sampled channel walk.

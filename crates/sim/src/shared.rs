@@ -34,90 +34,29 @@
 //! construction, keyed by everything that feeds the stream), and a cached
 //! plan is only reused after [`LayerPlan::matches`] verified it
 //! word-for-word against the requested masks — a fingerprint collision
-//! falls back to a fresh build, never a wrong reuse. Both caches are
-//! bounded (LRU over an access stamp) and instrumented:
-//! `sweep.derived_hits` / `sweep.derived_misses` /
-//! `sweep.derived_evictions` count mask lookups; plan reuse flows through
-//! the existing `ca.plan_reuses` / `ca.plan_compiles` counters.
+//! falls back to a fresh build, never a wrong reuse. All three caches are
+//! [`SingleFlightCache`]s: LRU-bounded, and concurrent misses on one key
+//! compute once. `sweep.derived_hits` / `sweep.derived_misses` count mask
+//! lookups and walk hits, `sweep.derived_evictions` counts evictions from
+//! all three; plan reuse flows through the existing `ca.plan_reuses` /
+//! `ca.plan_compiles` counters.
 
 use crate::ca::LayerPlan;
 use crate::config::SimConfig;
 use crate::context::PositionAggregate;
 use crate::masks::draw_act_mask_into;
+use escalate_core::cache::SingleFlightCache;
+use escalate_models::hash::{fnv1a, FNV_OFFSET};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 /// Default bound of each cache (entries). Generous for a two-network
 /// sweep grid — a network contributes `layers × distinct sample-channel
 /// settings` mask entries per input seed — while keeping a long sweep's
 /// footprint fixed.
 pub const DEFAULT_DERIVED_CAP: usize = 512;
-
-/// A minimal bounded map with LRU eviction by access stamp. Lookups and
-/// inserts are O(1); eviction scans for the stalest entry, which is fine
-/// because it only runs when the cache is full.
-struct LruMap<K, V> {
-    entries: HashMap<K, (V, u64)>,
-    stamp: u64,
-    capacity: usize,
-    evictions: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
-    fn new(capacity: usize) -> Self {
-        LruMap {
-            entries: HashMap::new(),
-            stamp: 0,
-            capacity,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: &K) -> Option<V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    fn insert(&mut self, key: K, value: V) {
-        self.stamp += 1;
-        if self.capacity > 0 && !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(key, (value, self.stamp));
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity > 0 {
-            while self.entries.len() > capacity {
-                let stalest = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, s))| *s)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                self.entries.remove(&stalest);
-                self.evictions += 1;
-            }
-        }
-    }
-}
 
 /// Everything that feeds the Bernoulli mask stream, floats by bit
 /// pattern: `(layer seed, C, keep_prob bits, positions per channel,
@@ -170,17 +109,17 @@ pub struct WalkSums {
 }
 
 struct DerivedCache {
-    masks: Mutex<LruMap<MaskKey, Arc<Vec<u64>>>>,
-    plans: Mutex<LruMap<PlanKey, Arc<LayerPlan>>>,
-    walks: Mutex<LruMap<WalkKey, WalkSums>>,
+    masks: SingleFlightCache<MaskKey, Arc<Vec<u64>>>,
+    plans: SingleFlightCache<PlanKey, Arc<LayerPlan>>,
+    walks: SingleFlightCache<WalkKey, WalkSums>,
 }
 
 fn derived_cache() -> &'static DerivedCache {
     static CACHE: OnceLock<DerivedCache> = OnceLock::new();
     CACHE.get_or_init(|| DerivedCache {
-        masks: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
-        plans: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
-        walks: Mutex::new(LruMap::new(DEFAULT_DERIVED_CAP)),
+        masks: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
+        plans: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
+        walks: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
     })
 }
 
@@ -188,58 +127,23 @@ fn derived_cache() -> &'static DerivedCache {
 /// new capacity immediately. Exists for eviction-pressure tests and
 /// memory-conscious embedders; the default bound suits sweep grids.
 pub fn set_derived_cache_capacity(capacity: usize) {
-    derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .set_capacity(capacity);
-    derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .set_capacity(capacity);
-    derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .set_capacity(capacity);
-}
-
-/// Resident entries in the (mask, plan) caches.
-pub fn derived_cache_len() -> (usize, usize) {
-    let masks = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .entries
-        .len();
-    let plans = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .entries
-        .len();
-    (masks, plans)
+    let cache = derived_cache();
+    cache.masks.set_capacity(capacity);
+    cache.plans.set_capacity(capacity);
+    cache.walks.set_capacity(capacity);
 }
 
 /// Total evictions the derived caches have performed since process start.
 pub fn derived_cache_evictions() -> u64 {
-    let m = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .evictions;
-    let p = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .evictions;
-    let w = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .evictions;
-    m + p + w
+    let cache = derived_cache();
+    cache.masks.evictions() + cache.plans.evictions() + cache.walks.evictions()
+}
+
+/// Adds a lookup's evictions to `sweep.derived_evictions`.
+fn count_evictions(evicted: u64) {
+    if evicted > 0 {
+        escalate_obs::counter_add("sweep.derived_evictions", evicted);
+    }
 }
 
 /// Draws the full mask block the sampled walk will consume — `channels ×
@@ -265,8 +169,8 @@ fn generate_masks(
 
 /// The materialized Bernoulli mask block for one `(layer, input seed,
 /// fidelity)` walk, cached across design points. Returns the shared words
-/// and whether this lookup hit. Concurrent misses may both generate — the
-/// generation is deterministic, so last-write-wins is harmless.
+/// and whether this lookup hit. Concurrent misses for one key generate
+/// once; the others wait and hit.
 pub fn cached_masks(
     layer_seed: u64,
     c: usize,
@@ -275,51 +179,32 @@ pub fn cached_masks(
     channels: usize,
 ) -> (Arc<Vec<u64>>, bool) {
     let key = (layer_seed, c, keep_prob.to_bits(), positions, channels);
-    if let Some(hit) = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned")
-        .get(&key)
-    {
-        escalate_obs::counter_add("sweep.derived_hits", 1);
-        return (hit, true);
-    }
-    let words = Arc::new(generate_masks(
-        layer_seed, c, keep_prob, positions, channels,
-    ));
-    let mut masks = derived_cache()
-        .masks
-        .lock()
-        .expect("derived mask cache poisoned");
-    let before = masks.evictions;
-    masks.insert(key, Arc::clone(&words));
-    let evicted = masks.evictions - before;
-    drop(masks);
-    escalate_obs::counter_add("sweep.derived_misses", 1);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
-    }
-    (words, false)
+    let Ok(look) = derived_cache().masks.get_or_compute(key, || {
+        Ok::<_, Infallible>(Arc::new(generate_masks(
+            layer_seed, c, keep_prob, positions, channels,
+        )))
+    });
+    escalate_obs::counter_add(
+        if look.hit {
+            "sweep.derived_hits"
+        } else {
+            "sweep.derived_misses"
+        },
+        1,
+    );
+    count_evictions(look.evicted);
+    (look.value, look.hit)
 }
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
-}
-
-/// The shared compiled [`LayerPlan`] for `(c, m, channels, masks)`,
-/// building and caching it on a miss. Returns the plan and whether the
-/// lookup hit. A hit is only reported after [`LayerPlan::matches`]
-/// verified the stored plan word-for-word against the requested masks; a
-/// fingerprint collision therefore rebuilds instead of reusing.
-pub fn cached_plan<'m>(
-    c: usize,
+/// FNV-1a over the sampled channel ids and their coefficient mask words,
+/// starting from `basis`.
+fn mask_fingerprint<'m>(
+    basis: u64,
     m: usize,
     channels: &[usize],
-    mask: impl Fn(usize, usize) -> &'m [u64],
-) -> (Arc<LayerPlan>, bool) {
-    let mut fp = 0xcbf29ce484222325u64;
+    mask: &impl Fn(usize, usize) -> &'m [u64],
+) -> u64 {
+    let mut fp = basis;
     for &k in channels {
         fp = fnv1a(fp, &(k as u64).to_le_bytes());
         for mi in 0..m {
@@ -328,30 +213,30 @@ pub fn cached_plan<'m>(
             }
         }
     }
-    let key = (c, m, fp);
-    let cached = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned")
-        .get(&key);
-    if let Some(plan) = cached {
-        if plan.matches(c, m, channels, &mask) {
-            return (plan, true);
-        }
+    fp
+}
+
+/// The shared compiled [`LayerPlan`] for `(c, m, channels, masks)`,
+/// building and caching it on a miss. Returns the plan and whether the
+/// lookup hit. A hit is only reported after [`LayerPlan::matches`]
+/// verified the stored plan word-for-word against the requested masks; a
+/// fingerprint collision builds a fresh plan and leaves the cached one in
+/// place.
+pub fn cached_plan<'m>(
+    c: usize,
+    m: usize,
+    channels: &[usize],
+    mask: impl Fn(usize, usize) -> &'m [u64],
+) -> (Arc<LayerPlan>, bool) {
+    let key = (c, m, mask_fingerprint(FNV_OFFSET, m, channels, &mask));
+    let Ok(look) = derived_cache().plans.get_or_compute(key, || {
+        Ok::<_, Infallible>(Arc::new(LayerPlan::build(c, m, channels, &mask)))
+    });
+    count_evictions(look.evicted);
+    if look.hit && !look.value.matches(c, m, channels, &mask) {
+        return (Arc::new(LayerPlan::build(c, m, channels, &mask)), false);
     }
-    let plan = Arc::new(LayerPlan::build(c, m, channels, &mask));
-    let mut plans = derived_cache()
-        .plans
-        .lock()
-        .expect("derived plan cache poisoned");
-    let before = plans.evictions;
-    plans.insert(key, Arc::clone(&plan));
-    let evicted = plans.evictions - before;
-    drop(plans);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
-    }
-    (plan, false)
+    (look.value, look.hit)
 }
 
 /// Builds the [`WalkKey`] for a walk of `channels × positions` against
@@ -372,21 +257,9 @@ pub fn walk_key<'m>(
     rs: usize,
     cfg: &SimConfig,
 ) -> WalkKey {
-    let mut fp = 0xcbf29ce484222325u64;
-    let mut fp2 = 0x84222325cbf29ce4u64;
-    for &k in channels {
-        fp = fnv1a(fp, &(k as u64).to_le_bytes());
-        fp2 = fnv1a(fp2, &(k as u64).to_le_bytes());
-        for mi in 0..m {
-            for &w in mask(k, mi) {
-                fp = fnv1a(fp, &w.to_le_bytes());
-                fp2 = fnv1a(fp2, &w.to_le_bytes());
-            }
-        }
-    }
     WalkKey {
-        fp,
-        fp2,
+        fp: mask_fingerprint(FNV_OFFSET, m, channels, &mask),
+        fp2: mask_fingerprint(FNV_OFFSET.rotate_left(32), m, channels, &mask),
         c,
         m,
         layer_seed,
@@ -399,44 +272,33 @@ pub fn walk_key<'m>(
     }
 }
 
-/// The cached folded sums for this walk, if a previous design point
-/// already performed it. A hit counts as a derived hit *and* skips the
-/// mask/plan lookups entirely.
-pub fn cached_walk(key: &WalkKey) -> Option<WalkSums> {
-    let hit = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned")
-        .get(key);
-    if hit.is_some() {
-        escalate_obs::counter_add("sweep.derived_hits", 1);
-        escalate_obs::counter_add("sweep.walk_hits", 1);
-    }
-    hit
-}
-
-/// Publishes a finished walk's folded sums for later design points.
-pub fn store_walk(key: WalkKey, agg: &PositionAggregate) {
-    let mut walks = derived_cache()
-        .walks
-        .lock()
-        .expect("derived walk cache poisoned");
-    let before = walks.evictions;
-    walks.insert(
-        key,
-        WalkSums {
+/// The folded sums of the walk `key` names: cached if a previous design
+/// point already performed it, else produced by `walk` (once across
+/// concurrent callers) and published for later points. Returns the sums
+/// and, when this call ran `walk`, its full aggregate. A hit counts as a
+/// derived hit *and* a walk hit: it skips the mask/plan lookups entirely.
+pub fn cached_walk(
+    key: WalkKey,
+    walk: impl FnOnce() -> PositionAggregate,
+) -> (WalkSums, Option<PositionAggregate>) {
+    let mut walked = None;
+    let Ok(look) = derived_cache().walks.get_or_compute(key, || {
+        let agg = walk();
+        walked = Some(agg);
+        Ok::<_, Infallible>(WalkSums {
             sum_pos_cycles: agg.sum_pos_cycles,
             sum_matched: agg.sum_matched,
             sum_gather: agg.sum_gather,
             sum_idle: agg.sum_idle,
             max_mean_pos: agg.max_mean_pos,
-        },
-    );
-    let evicted = walks.evictions - before;
-    drop(walks);
-    if evicted > 0 {
-        escalate_obs::counter_add("sweep.derived_evictions", evicted);
+        })
+    });
+    if look.hit {
+        escalate_obs::counter_add("sweep.derived_hits", 1);
+        escalate_obs::counter_add("sweep.walk_hits", 1);
     }
+    count_evictions(look.evicted);
+    (look.value, walked)
 }
 
 #[cfg(test)]
@@ -500,25 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn lru_map_evicts_the_stalest_entry() {
-        let mut map: LruMap<u32, u32> = LruMap::new(2);
-        map.insert(1, 10);
-        map.insert(2, 20);
-        assert_eq!(map.get(&1), Some(10)); // refresh 1 → 2 is stalest
-        map.insert(3, 30);
-        assert_eq!(map.evictions, 1);
-        assert_eq!(map.get(&2), None, "stalest entry evicted");
-        assert_eq!(map.get(&1), Some(10));
-        assert_eq!(map.get(&3), Some(30));
-        // Shrinking the capacity evicts immediately.
-        map.set_capacity(1);
-        assert_eq!(map.entries.len(), 1);
-        assert_eq!(map.evictions, 2);
-        // Unbounded never evicts.
-        map.set_capacity(0);
-        for k in 10..20 {
-            map.insert(k, k);
-        }
-        assert_eq!(map.evictions, 2);
+    fn concurrent_mask_misses_generate_once() {
+        // A fresh key (unique seed) requested by eight threads at once:
+        // one generates, the other seven wait on its slot and hit.
+        let seed = 0xfeed_2001u64;
+        let start = std::sync::Barrier::new(8);
+        let misses: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        usize::from(!cached_masks(seed, 4096, 0.5, 64, 16).1)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(misses, 1, "exactly one lookup may miss");
     }
 }

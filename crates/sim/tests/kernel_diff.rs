@@ -1,7 +1,6 @@
 //! Differential suite: the batched word-parallel [`PositionKernel`] —
-//! through ad-hoc binds, compiled [`LayerPlan`]s, every batch shape, and
-//! (when built with `--features simd`) both sides of the `std::arch`
-//! dispatch — against the scalar reference [`position_cost_scalar`],
+//! through ad-hoc binds, compiled [`LayerPlan`]s and every batch shape —
+//! against the scalar reference [`position_cost_scalar`],
 //! byte-for-byte equal [`PositionCost`]s across random channel counts,
 //! mask patterns, concentration windows, and bus widths — including
 //! multi-word channels and the empty/dense extremes.
@@ -193,46 +192,6 @@ proptest! {
             kernel.bind_planned(b);
             let scalar = position_cost_scalar(&cfg, c, &act, &refs, &mut scratch);
             prop_assert_eq!(kernel.cost(&act), scalar, "planned bind {}", b);
-        }
-    }
-}
-
-// With `--features simd`: the runtime-dispatched `std::arch` path and the
-// forced-portable path produce byte-identical costs on the same inputs.
-// On hosts without the instructions the dispatch already takes the
-// portable path and this reduces to a self-comparison (still valid, just
-// not discriminating).
-#[cfg(feature = "simd")]
-proptest! {
-    #[test]
-    fn simd_dispatch_matches_portable(
-        c in 1usize..200,
-        m in 1usize..7,
-        raw_acts in prop::collection::vec(prop::collection::vec(any::<u64>(), 3), 1..10),
-        raw_coef in prop::collection::vec(any::<u64>(), 18),
-        act_style in 0u8..4,
-        coef_style in 0u8..4,
-        windows in (0usize..8, 0usize..3),
-        bus_bytes in 1usize..33,
-    ) {
-        let (la, ls) = windows;
-        let cfg = config(la, ls, bus_bytes);
-        let coef_rows: Vec<Vec<u64>> = (0..m)
-            .map(|mi| mask_words(&raw_coef[mi * 3..mi * 3 + 3], c, coef_style))
-            .collect();
-        let refs: Vec<&[u64]> = coef_rows.iter().map(Vec::as_slice).collect();
-        let acts: Vec<Vec<u64>> = raw_acts
-            .iter()
-            .map(|raw| mask_words(raw, c, act_style))
-            .collect();
-        let expect = scalar_costs(&cfg, c, &acts, &refs);
-        let mut kernel = PositionKernel::new(&cfg);
-        kernel.bind(c, refs.iter().copied());
-        for on in [false, true] {
-            escalate_sim::simd::set_enabled(on);
-            let res = assert_batched_matches(&mut kernel, c, &acts, &expect, MAX_BATCH);
-            escalate_sim::simd::set_enabled(true);
-            res?;
         }
     }
 }

@@ -15,12 +15,6 @@ cd "$(dirname "$0")/.."
 # binaries and test targets.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The `simd` feature compiles the std::arch batch-kernel path; dispatch
-# is at runtime (is_x86_feature_detected!), so this build+test pass is
-# safe on hosts without the intrinsics — it just takes the portable
-# fallback there. The kernel_diff proptests force the fast path off and
-# on to pin the two monomorphizations byte-identical.
-cargo test -q --offline -p escalate-sim --features simd
 # The observability crate is dependency-free and cheap: exercise its full
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
@@ -28,14 +22,13 @@ cargo test -q --offline -p escalate-obs
 # Criterion's `--test` mode runs each kernel benchmark once, unmeasured:
 # a smoke check that the scalar/word-parallel/batched differential
 # assertion and the bench wiring stay green without paying for real
-# measurement (with the simd dispatch compiled in).
-cargo bench --offline -p escalate-bench --bench position_kernel \
-  --features escalate-sim/simd -- --test
+# measurement.
+cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 # Golden-diff regression check over the full corpus: all 19 golden
 # experiments must stay byte-identical to the committed results/ files
 # (~75 s in release on a single core; the per-experiment dev-profile
 # round-trips live in crates/bench/tests/report.rs).
-./target/release/report --all --check
+./target/release/escalate report --all --check
 # Resumable design-space sweep smoke on the frontier-golden grid: run
 # the 64-point cold grid (the exact grid committed as
 # results/sweep_frontier.txt, so frontier drift fails here), "interrupt"
@@ -102,6 +95,5 @@ for _ in $(seq 1 300); do kill -0 "$SERVE_PID" 2>/dev/null || break; sleep 0.1; 
 grep -q "drained — 4 jobs done, 0 failed" "$SERVE_DIR/serve.txt"
 cargo fmt --check
 cargo clippy --all-targets --offline --workspace -- -D warnings
-cargo clippy --all-targets --offline -p escalate-sim --features simd -- -D warnings
 
 echo "tier-1: OK"
