@@ -18,7 +18,9 @@
 //! consumers reading through [`JsonlSink::lines_for`] see exactly one
 //! authoritative set of lines per key. [`crate::plan::execute`] then
 //! skips every unit whose key is recorded, and newly executed units
-//! append their records in unit order.
+//! append their records in unit order, each as soon as it and every
+//! unit before it have finished — so a run killed mid-way leaves every
+//! record it had finished feeding on disk for the resume.
 //!
 //! Resume granularity is per unit and all-or-nothing: a unit should emit
 //! one line (the sweep does), or accept that a crash between two of its

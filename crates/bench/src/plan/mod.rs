@@ -2,23 +2,25 @@
 //! run them deterministically in parallel, render to a sink".
 //!
 //! The experiment registry (paper figures), the design-space sweep, and
-//! any future consumer (a served job queue, a pipelined-schedule study)
-//! are the same shape: a [`RunPlan`] enumerates [`WorkUnit`]s — each
-//! carrying a stable key and its own deterministic seed — [`execute`]
-//! fans the pending units out over the global thread pool with an
-//! order-preserving collect (so output is byte-identical to a serial
-//! run at any thread count, the same contract as `core::par`), and a
-//! [`UnitSink`] consumes the outputs *sequentially in unit order*. Sinks
-//! decide what persistence means: an in-memory [`TableSink`] behind the
-//! `report` renderers (text and `escalate-report/v1` JSON), the golden
-//! check/update sinks of the report runner, or the append-only
+//! the serve daemon's jobs are the same shape: a [`RunPlan`] enumerates
+//! [`WorkUnit`]s — each carrying a stable key and its own deterministic
+//! seed — [`execute`] fans the pending units out over the global thread
+//! pool, and a [`UnitSink`] consumes the outputs *sequentially in unit
+//! order*, each as soon as it and every unit before it have finished (so
+//! output is byte-identical to a serial run at any thread count, the
+//! same contract as `core::par`). Sinks decide what persistence means:
+//! an in-memory [`TableSink`] behind the `report` renderers (text and
+//! `escalate-report/v1` JSON), the golden check/update sinks of the
+//! report runner, a served job's client socket, or the append-only
 //! [`jsonl::JsonlSink`] whose [`UnitSink::recorded`] set makes a run
-//! resumable — already-recorded unit keys are skipped, not re-run.
+//! resumable — already-recorded unit keys are skipped, not re-run, and
+//! an interrupted run keeps every record it had fed.
 //!
-//! Failure semantics mirror the historical report runner: every pending
-//! unit runs to completion, then outputs are fed to the sink in unit
-//! order and the first failing unit *in that order* aborts the feed —
-//! earlier units' sink effects persist, later ones are discarded.
+//! Failure semantics: the first failing unit *in unit order* (a panic
+//! inside `run_unit` counts as a failure naming the unit), or the first
+//! sink write failure, ends the feed — earlier units' sink effects
+//! persist, later outputs are discarded, and workers stop claiming new
+//! units.
 
 pub mod jsonl;
 
@@ -27,6 +29,8 @@ pub use jsonl::JsonlSink;
 use crate::experiments::{ExpError, Table};
 use escalate_models::hash::{splitmix64_mix, SPLITMIX_GAMMA};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// One schedulable unit of work inside a [`RunPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,19 +93,18 @@ pub trait RunPlan: Sync {
     /// Returns an [`ExpError`] on pipeline failures.
     fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError>;
 
-    /// Optionally reorders *execution* of the pending units (the ones the
-    /// sink has not recorded): returns a permutation of `0..pending.len()`
-    /// giving the order workers should claim work in, or `None` for
-    /// enumeration order. The sink feed always stays in unit order, so a
-    /// schedule changes cache locality — units sharing expensive derived
-    /// state run adjacently — but never a single output byte. A returned
-    /// vector that is not a permutation of `0..pending.len()` is ignored.
-    fn schedule(&self, _pending: &[&WorkUnit]) -> Option<Vec<usize>> {
-        None
+    /// Execution-order sort key: [`execute`] claims pending units in
+    /// ascending key order, ties kept in enumeration order. The sink feed
+    /// always stays in unit order, so a key changes cache locality —
+    /// units sharing expensive derived state run adjacently — but never
+    /// a single output byte. Default: enumeration order.
+    fn exec_key(&self, _unit: &WorkUnit) -> u64 {
+        0
     }
 }
 
-/// Consumes executed units, sequentially in unit order.
+/// Consumes executed units, sequentially in unit order, on the thread
+/// that called [`execute`] (so a sink need not be `Send`).
 pub trait UnitSink {
     /// Whether `key` is already recorded — recorded units are skipped by
     /// [`execute`] (the resume path). Default: nothing is recorded.
@@ -134,217 +137,89 @@ pub fn unit_seed(master: u64, index: u64) -> u64 {
     splitmix64_mix(master ^ index.wrapping_mul(SPLITMIX_GAMMA))
 }
 
-/// Checks that `order` is a permutation of `0..n`.
-fn is_permutation(order: &[usize], n: usize) -> bool {
-    if order.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for &i in order {
-        if i >= n || seen[i] {
-            return false;
-        }
-        seen[i] = true;
-    }
-    true
+/// Runs one unit, turning a panic into a typed error naming the unit —
+/// a panicking unit fails its run like any other failing unit instead
+/// of taking the executing thread (or a serve worker) down with it.
+fn run_caught(plan: &dyn RunPlan, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.run_unit(unit))).unwrap_or_else(
+        |payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(ExpError::Msg(format!(
+                "work unit {} panicked: {msg}",
+                unit.key
+            )))
+        },
+    )
 }
 
 /// Drives a plan into a sink: enumerate, drop units the sink already
-/// recorded, run the rest (in parallel when there is more than one — the
-/// collect is order-preserving, so the sink feed and therefore every
-/// rendered byte is identical to a serial run), then feed outputs to the
-/// sink in unit order.
+/// recorded, run the rest over the global pool, and feed each output to
+/// the sink *as soon as it and every unit before it have finished*.
 ///
-/// When the plan provides a [`RunPlan::schedule`], units *execute* in the
-/// scheduled order (so cache-friendly neighbours run adjacently) while
-/// outputs are scattered back and fed to the sink in unit order — the
-/// schedule is invisible in the output bytes.
+/// Units are claimed in [`RunPlan::exec_key`] order (a stable sort, so
+/// cache-friendly neighbours run adjacently) through the global pool's
+/// `par_iter`, driven from one scoped thread — nested parallel calls
+/// inside `run_unit` draw on the same token budget, so they degrade to
+/// sequential once it is spent. The sink stays on the calling thread and
+/// is fed strictly in unit order, so every byte it sees is identical to a
+/// serial run at any thread count, and an interrupted run keeps every
+/// record that was complete before the interrupt.
 ///
 /// # Errors
 ///
-/// Returns the first failing unit's error *in unit order* (outputs of
-/// earlier units have already reached the sink), or the sink's own write
-/// failure.
+/// Returns the first failing unit's error *in unit order* (a panicking
+/// unit fails as `work unit <key> panicked: …`), or the sink's own write
+/// failure. Earlier units' sink effects persist; once the feed errors,
+/// workers stop claiming units.
 pub fn execute(plan: &dyn RunPlan, sink: &mut dyn UnitSink) -> Result<ExecSummary, ExpError> {
     let units = plan.units()?;
-    let mut pending: Vec<&WorkUnit> = Vec::with_capacity(units.len());
-    let mut skipped = 0usize;
-    for unit in &units {
-        if sink.recorded(&unit.key) {
-            skipped += 1;
-        } else {
-            pending.push(unit);
-        }
-    }
-    let order: Vec<usize> = match plan.schedule(&pending) {
-        Some(o) if is_permutation(&o, pending.len()) => o,
-        _ => (0..pending.len()).collect(),
-    };
-    let mut outputs: Vec<Option<Result<UnitOutput, ExpError>>> =
-        (0..pending.len()).map(|_| None).collect();
-    let executed: Vec<(usize, Result<UnitOutput, ExpError>)> = if pending.len() > 1 {
-        order
-            .par_iter()
-            .map(|&i| (i, plan.run_unit(pending[i])))
-            .collect()
-    } else {
-        order
-            .iter()
-            .map(|&i| (i, plan.run_unit(pending[i])))
-            .collect()
-    };
-    for (i, out) in executed {
-        outputs[i] = Some(out);
-    }
-    let ran = pending.len();
-    for (unit, output) in pending.into_iter().zip(outputs) {
-        sink.write_unit(unit, output.expect("every pending slot filled")?)?;
-    }
-    Ok(ExecSummary { ran, skipped })
-}
+    let (recorded, pending): (Vec<&WorkUnit>, Vec<&WorkUnit>) =
+        units.iter().partition(|u| sink.recorded(&u.key));
+    let mut order: Vec<usize> = (0..pending.len()).collect();
+    order.sort_by_cached_key(|&i| plan.exec_key(pending[i]));
 
-/// Drives a plan into a sink like [`execute`], but feeds each unit to
-/// the sink *as soon as it (and every unit before it) has finished* —
-/// the streaming-consumer variant behind served jobs, where the sink is
-/// a client socket that should see records while later units still run.
-///
-/// The sink feed is still strictly in unit order, so every byte a sink
-/// sees is identical to [`execute`]'s batch feed (and to a serial run).
-/// Failure semantics differ deliberately: the first failing unit *in
-/// unit order* (or the first sink write failure) aborts the run early —
-/// in-flight units finish, but unclaimed units never start. A one-shot
-/// run wants every output it paid for; a streaming consumer is gone the
-/// moment the stream errors, so finishing the tail would be pure waste.
-///
-/// Units run on scoped worker threads sized to the global pool
-/// (`rayon::current_num_threads`), pulling units in enumeration order;
-/// nested parallelism inside `run_unit` still shares the global pool's
-/// token budget, so total concurrency stays bounded.
-///
-/// # Errors
-///
-/// Returns the first failing unit's error in unit order, or the sink's
-/// own write failure (earlier units' sink effects persist).
-///
-/// # Panics
-///
-/// Propagates a panicking `run_unit` after the remaining workers drain.
-pub fn execute_streaming(
-    plan: &dyn RunPlan,
-    sink: &mut dyn UnitSink,
-) -> Result<ExecSummary, ExpError> {
-    let units = plan.units()?;
-    let mut pending: Vec<&WorkUnit> = Vec::with_capacity(units.len());
-    let mut skipped = 0usize;
-    for unit in &units {
-        if sink.recorded(&unit.key) {
-            skipped += 1;
-        } else {
-            pending.push(unit);
-        }
-    }
-    let ran = pending.len();
-    if pending.len() <= 1 {
-        for unit in pending {
-            sink.write_unit(unit, plan.run_unit(unit)?)?;
-        }
-        return Ok(ExecSummary { ran, skipped });
-    }
-
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex as StdMutex};
-
-    struct Shared {
-        /// One slot per pending unit, filled when that unit finishes.
-        slots: StdMutex<Vec<Option<Result<UnitOutput, ExpError>>>>,
-        /// Signals the feeder that a slot was filled.
-        ready: Condvar,
-        /// Next pending index a worker should claim.
-        next: AtomicUsize,
-        /// Set by the feeder on the first error: workers stop claiming.
-        abort: AtomicBool,
-    }
-
-    let shared = Shared {
-        slots: StdMutex::new((0..pending.len()).map(|_| None).collect()),
-        ready: Condvar::new(),
-        next: AtomicUsize::new(0),
-        abort: AtomicBool::new(false),
-    };
-    let workers = rayon::current_num_threads().clamp(1, pending.len());
+    // One slot per pending unit, filled by whichever worker ran it.
+    let slots: Mutex<Vec<Option<Result<UnitOutput, ExpError>>>> =
+        Mutex::new((0..pending.len()).map(|_| None).collect());
+    let filled = Condvar::new();
+    // Set once the feed has failed: workers skip every unclaimed unit.
+    let stop = AtomicBool::new(false);
     let mut fed = Ok(());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if shared.abort.load(Ordering::Relaxed) {
-                    break;
+        scope.spawn(|| {
+            order.par_iter().for_each(|&i| {
+                if stop.load(Ordering::Relaxed) {
+                    return;
                 }
-                let i = shared.next.fetch_add(1, Ordering::Relaxed);
-                if i >= pending.len() {
-                    break;
-                }
-                // Fill the slot even if `run_unit` panics, so the feeder
-                // (waiting on this very slot) wakes up instead of
-                // deadlocking; the panic itself resurfaces at scope join.
-                struct FillOnUnwind<'a> {
-                    shared: &'a Shared,
-                    index: usize,
-                    armed: bool,
-                }
-                impl Drop for FillOnUnwind<'_> {
-                    fn drop(&mut self) {
-                        if !self.armed {
-                            return;
-                        }
-                        let mut slots = self
-                            .shared
-                            .slots
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        slots[self.index] = Some(Err(ExpError::Msg("work unit panicked".into())));
-                        self.shared.ready.notify_all();
-                    }
-                }
-                let mut guard = FillOnUnwind {
-                    shared: &shared,
-                    index: i,
-                    armed: true,
-                };
-                let out = plan.run_unit(pending[i]);
-                guard.armed = false;
-                let mut slots = shared
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                slots[i] = Some(out);
-                shared.ready.notify_all();
+                let out = run_caught(plan, pending[i]);
+                slots.lock().expect("slots lock poisoned")[i] = Some(out);
+                filled.notify_all();
             });
-        }
-        // The feeder: consume slots strictly in unit order.
+        });
         for (i, unit) in pending.iter().enumerate() {
-            let out = {
-                let mut slots = shared
-                    .slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                loop {
-                    if let Some(out) = slots[i].take() {
-                        break out;
-                    }
-                    slots = shared
-                        .ready
-                        .wait(slots)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
+            // No code panics while holding the lock, so it never poisons.
+            let out = filled
+                .wait_while(slots.lock().expect("slots lock poisoned"), |s| {
+                    s[i].is_none()
+                })
+                .expect("slots lock poisoned")[i]
+                .take()
+                .expect("slot filled");
             fed = out.and_then(|o| sink.write_unit(unit, o));
             if fed.is_err() {
-                shared.abort.store(true, Ordering::Relaxed);
+                stop.store(true, Ordering::Relaxed);
                 break;
             }
         }
     });
-    fed.map(|()| ExecSummary { ran, skipped })
+    fed.map(|()| ExecSummary {
+        ran: pending.len(),
+        skipped: recorded.len(),
+    })
 }
 
 /// A sink that accumulates every unit's table in unit order — the
@@ -441,23 +316,32 @@ mod tests {
 
     #[test]
     fn execute_skips_exactly_the_recorded_keys() {
-        let plan = Toy { n: 5, master: 3 };
-        let mut sink = Skipping {
-            have: vec!["u1".into(), "u3".into()],
-            inner: TableSink::default(),
-        };
-        let summary = execute(&plan, &mut sink).expect("runs");
-        assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
-        let keys: Vec<&str> = sink
-            .inner
-            .tables
-            .iter()
-            .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
-            .collect();
-        assert_eq!(keys, ["u0", "u2", "u4"], "survivors keep their order");
+        for (have, survivors) in [
+            (["u1", "u3"], ["u0", "u2", "u4"]),
+            (["u0", "u4"], ["u1", "u2", "u3"]),
+        ] {
+            let plan = Toy { n: 5, master: 3 };
+            let mut sink = Skipping {
+                have: have.iter().map(|k| (*k).to_string()).collect(),
+                inner: TableSink::default(),
+            };
+            let summary = execute(&plan, &mut sink).expect("runs");
+            assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
+            let keys: Vec<&str> = sink
+                .inner
+                .tables
+                .iter()
+                .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
+                .collect();
+            assert_eq!(keys, survivors, "survivors keep their order");
+        }
     }
 
-    struct Poisoned;
+    /// Units `u0`, a bad middle unit, `u2`: the middle unit fails with an
+    /// error or, when `panics` is set, panics.
+    struct Poisoned {
+        panics: bool,
+    }
 
     impl RunPlan for Poisoned {
         fn name(&self) -> &str {
@@ -478,6 +362,7 @@ mod tests {
 
         fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
             if unit.key == "u-poison" {
+                assert!(!self.panics, "unit exploded");
                 return Err(ExpError::Msg("poisoned unit".into()));
             }
             let mut t = Table::new("p", "t");
@@ -489,7 +374,7 @@ mod tests {
     #[test]
     fn first_failure_in_unit_order_aborts_after_earlier_writes() {
         let mut sink = TableSink::default();
-        let err = execute(&Poisoned, &mut sink).expect_err("must fail");
+        let err = execute(&Poisoned { panics: false }, &mut sink).expect_err("must fail");
         assert!(err.to_string().contains("poisoned unit"));
         // u0 (before the failure) reached the sink; u2 (after) did not.
         assert_eq!(sink.tables.len(), 1);
@@ -497,51 +382,87 @@ mod tests {
     }
 
     #[test]
-    fn streaming_feed_is_byte_identical_to_the_batch_feed() {
-        let plan = Toy { n: 16, master: 11 };
-        let mut batch = TableSink::default();
-        execute(&plan, &mut batch).expect("batch");
-        let mut streamed = TableSink::default();
-        let summary = execute_streaming(&plan, &mut streamed).expect("streaming");
-        assert_eq!(
-            summary,
-            ExecSummary {
-                ran: 16,
-                skipped: 0
-            }
-        );
-        let render = |s: &TableSink| -> Vec<String> {
-            s.tables.iter().map(|t| t.lines()[0].clone()).collect()
-        };
-        assert_eq!(render(&batch), render(&streamed));
-    }
-
-    #[test]
-    fn streaming_skips_recorded_keys_like_execute() {
-        let plan = Toy { n: 5, master: 3 };
-        let mut sink = Skipping {
-            have: vec!["u0".into(), "u4".into()],
-            inner: TableSink::default(),
-        };
-        let summary = execute_streaming(&plan, &mut sink).expect("runs");
-        assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
-        let keys: Vec<&str> = sink
-            .inner
-            .tables
-            .iter()
-            .map(|t| t.lines()[0].split_whitespace().next().expect("key"))
-            .collect();
-        assert_eq!(keys, ["u1", "u2", "u3"]);
-    }
-
-    #[test]
-    fn streaming_aborts_on_the_first_failure_in_unit_order() {
+    fn a_panicking_unit_fails_the_run_naming_the_unit() {
         let mut sink = TableSink::default();
-        let err = execute_streaming(&Poisoned, &mut sink).expect_err("must fail");
-        assert!(err.to_string().contains("poisoned unit"));
-        // u0 reached the sink before the failure; u2 never did.
+        let err = execute(&Poisoned { panics: true }, &mut sink).expect_err("must fail");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("work unit u-poison panicked") && msg.contains("unit exploded"),
+            "{msg}"
+        );
+        // Units before the panic in unit order already reached the sink.
         assert_eq!(sink.tables.len(), 1);
         assert_eq!(sink.tables[0].lines()[0], "u0");
+    }
+
+    /// Set by the sink once unit 0 has been written.
+    #[derive(Default)]
+    struct Fed {
+        done: std::sync::Mutex<bool>,
+        changed: std::sync::Condvar,
+    }
+
+    /// A plan whose last unit only succeeds once unit 0 has reached the
+    /// sink — possible only when the feed is incremental.
+    struct WaitsForFeed<'a> {
+        inner: Toy,
+        fed: &'a Fed,
+    }
+
+    impl RunPlan for WaitsForFeed<'_> {
+        fn name(&self) -> &str {
+            "waits-for-feed"
+        }
+
+        fn units(&self) -> Result<Vec<WorkUnit>, ExpError> {
+            self.inner.units()
+        }
+
+        fn run_unit(&self, unit: &WorkUnit) -> Result<UnitOutput, ExpError> {
+            if unit.index + 1 == self.inner.n {
+                let done = self.fed.done.lock().expect("lock");
+                let (done, _) = self
+                    .fed
+                    .changed
+                    .wait_timeout_while(done, std::time::Duration::from_secs(10), |d| !*d)
+                    .expect("lock");
+                if !*done {
+                    return Err(ExpError::Msg("unit 0 never reached the sink".into()));
+                }
+            }
+            self.inner.run_unit(unit)
+        }
+    }
+
+    struct SignalingSink<'a> {
+        fed: &'a Fed,
+        inner: TableSink,
+    }
+
+    impl UnitSink for SignalingSink<'_> {
+        fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
+            if unit.index == 0 {
+                *self.fed.done.lock().expect("lock") = true;
+                self.fed.changed.notify_all();
+            }
+            self.inner.write_unit(unit, out)
+        }
+    }
+
+    #[test]
+    fn the_sink_is_fed_before_the_last_unit_finishes() {
+        let fed = Fed::default();
+        let plan = WaitsForFeed {
+            inner: Toy { n: 4, master: 13 },
+            fed: &fed,
+        };
+        let mut sink = SignalingSink {
+            fed: &fed,
+            inner: TableSink::default(),
+        };
+        let summary = execute(&plan, &mut sink).expect("feed is incremental");
+        assert_eq!(summary, ExecSummary { ran: 4, skipped: 0 });
+        assert_eq!(sink.inner.tables.len(), 4);
     }
 
     /// A sink whose write fails on a chosen unit — exercises the abort
@@ -562,13 +483,23 @@ mod tests {
         }
     }
 
-    /// A plan with a custom execution schedule (reverse order, or a
-    /// deliberately malformed one) that records what `schedule` was
-    /// offered.
+    #[test]
+    fn execute_stops_feeding_after_a_sink_failure() {
+        let plan = Toy { n: 6, master: 5 };
+        let mut sink = FailingSink {
+            fail_on: "u2".into(),
+            written: Vec::new(),
+        };
+        let err = execute(&plan, &mut sink).expect_err("sink fails");
+        assert!(err.to_string().contains("sink lost u2"));
+        assert_eq!(sink.written, ["u0", "u1"], "writes stop at the failure");
+    }
+
+    /// A plan that executes in reverse enumeration order and records
+    /// which units its execution key was asked for.
     struct Scheduled {
         inner: Toy,
-        order: Vec<usize>,
-        offered: std::sync::Mutex<Vec<String>>,
+        keyed: std::sync::Mutex<Vec<String>>,
     }
 
     impl RunPlan for Scheduled {
@@ -584,21 +515,20 @@ mod tests {
             self.inner.run_unit(unit)
         }
 
-        fn schedule(&self, pending: &[&WorkUnit]) -> Option<Vec<usize>> {
-            *self.offered.lock().expect("lock") = pending.iter().map(|u| u.key.clone()).collect();
-            Some(self.order.clone())
+        fn exec_key(&self, unit: &WorkUnit) -> u64 {
+            self.keyed.lock().expect("lock").push(unit.key.clone());
+            (self.inner.n - unit.index) as u64
         }
     }
 
     #[test]
-    fn schedule_sees_only_pending_units_and_never_changes_sink_order() {
-        // u1/u3 are already recorded; the schedule is offered the other
-        // three and reverses their execution order — the sink feed must
-        // come out in unit order regardless.
+    fn exec_keys_see_only_pending_units_and_never_change_sink_order() {
+        // u1/u3 are already recorded; the other three are keyed in
+        // reverse execution order — the sink feed must come out in unit
+        // order regardless.
         let plan = Scheduled {
             inner: Toy { n: 5, master: 9 },
-            order: vec![2, 1, 0],
-            offered: std::sync::Mutex::new(Vec::new()),
+            keyed: std::sync::Mutex::new(Vec::new()),
         };
         let mut sink = Skipping {
             have: vec!["u1".into(), "u3".into()],
@@ -607,9 +537,9 @@ mod tests {
         let summary = execute(&plan, &mut sink).expect("runs");
         assert_eq!(summary, ExecSummary { ran: 3, skipped: 2 });
         assert_eq!(
-            *plan.offered.lock().expect("lock"),
+            *plan.keyed.lock().expect("lock"),
             ["u0", "u2", "u4"],
-            "schedule is offered exactly the pending units"
+            "each pending unit is keyed exactly once"
         );
         let keys: Vec<&str> = sink
             .inner
@@ -621,47 +551,23 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_and_unscheduled_runs_render_identically() {
+    fn keyed_and_unkeyed_runs_render_identically() {
         let plain = Toy { n: 8, master: 21 };
         let mut a = TableSink::default();
         execute(&plain, &mut a).expect("plain");
         let scheduled = Scheduled {
             inner: Toy { n: 8, master: 21 },
-            order: (0..8).rev().collect(),
-            offered: std::sync::Mutex::new(Vec::new()),
+            keyed: std::sync::Mutex::new(Vec::new()),
         };
         let mut b = TableSink::default();
         execute(&scheduled, &mut b).expect("scheduled");
         let render = |s: &TableSink| -> Vec<String> {
             s.tables.iter().map(|t| t.lines()[0].clone()).collect()
         };
-        assert_eq!(render(&a), render(&b), "a schedule may not change bytes");
-    }
-
-    #[test]
-    fn malformed_schedules_fall_back_to_enumeration_order() {
-        for bad in [vec![0, 0, 2], vec![0, 1], vec![0, 1, 7]] {
-            let plan = Scheduled {
-                inner: Toy { n: 3, master: 1 },
-                order: bad,
-                offered: std::sync::Mutex::new(Vec::new()),
-            };
-            let mut sink = TableSink::default();
-            let summary = execute(&plan, &mut sink).expect("runs");
-            assert_eq!(summary, ExecSummary { ran: 3, skipped: 0 });
-            assert_eq!(sink.tables.len(), 3, "all units still ran");
-        }
-    }
-
-    #[test]
-    fn streaming_stops_feeding_after_a_sink_failure() {
-        let plan = Toy { n: 6, master: 5 };
-        let mut sink = FailingSink {
-            fail_on: "u2".into(),
-            written: Vec::new(),
-        };
-        let err = execute_streaming(&plan, &mut sink).expect_err("sink fails");
-        assert!(err.to_string().contains("sink lost u2"));
-        assert_eq!(sink.written, ["u0", "u1"], "writes stop at the failure");
+        assert_eq!(
+            render(&a),
+            render(&b),
+            "an execution key may not change bytes"
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! Pareto frontier: per network, the sampled points not strictly
 //! dominated on (cycles, energy, area).
 
-use crate::experiments::ExpError;
+use crate::experiments::{ExpError, Table};
 use crate::plan::{self, JsonlSink, RunPlan, UnitOutput, WorkUnit};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::hash::splitmix64;
@@ -455,46 +455,27 @@ impl RunPlan for SweepPlan {
             energy_mj: run.energy_pj / 1e9,
             area_mm2: escalate_energy::chip_area_mm2(&cfg),
         };
-        let mut table = crate::experiments::Table::new("sweep", "design-space sweep");
-        crate::tline!(
-            table,
-            "{}: cycles {:.0}, energy {:.3} mJ, area {:.2} mm2",
-            unit.key,
-            record.cycles,
-            record.energy_mj,
-            record.area_mm2
-        );
         Ok(UnitOutput {
-            table,
+            table: Table::default(),
             jsonl: vec![record.to_json_line()],
         })
     }
 
-    fn schedule(&self, pending: &[&WorkUnit]) -> Option<Vec<usize>> {
+    fn exec_key(&self, unit: &WorkUnit) -> u64 {
         // Execute points grouped by their shared derived state: first by
         // network, then by `M` (the compression/workload cache key), then
         // by the fidelity knob (the plan-cache key includes the channel
         // sample). Adjacent units hit the caches while their entries are
         // hot, so small capacities stop thrashing on large grids. The
-        // stable sort keeps enumeration order inside each group, and the
-        // sink feed is unit-ordered regardless — the schedule cannot
-        // change output bytes.
-        let pes = pe_choices(self.opts.pe_range);
-        if pes.is_empty() {
-            return None;
-        }
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        order.sort_by_key(|&i| {
-            let unit = pending[i];
-            let sample = unit.index % self.opts.samples;
-            let point = self.point_for(sample, unit.seed, &pes);
-            (
-                unit.index / self.opts.samples,
-                point.m,
-                point.sample_channels,
-            )
-        });
-        Some(order)
+        // executor's sort is stable, so enumeration order holds inside
+        // each group. Each field gets 21 bits; a value past that only
+        // coarsens the grouping, never the output bytes.
+        let field = |v: usize| (v as u64).min((1 << 21) - 1);
+        let sample = unit.index % self.opts.samples;
+        let point = self.point_for(sample, unit.seed, &pe_choices(self.opts.pe_range));
+        field(unit.index / self.opts.samples) << 42
+            | field(point.m) << 21
+            | field(point.sample_channels)
     }
 }
 
@@ -918,26 +899,20 @@ mod tests {
     }
 
     #[test]
-    fn schedule_groups_pending_units_by_network_then_m() {
+    fn exec_keys_group_units_by_network_then_m() {
         let opts = SweepOptions {
             networks: vec!["MobileNet".into(), "VGG16".into()],
             samples: 16,
             ..SweepOptions::default()
         };
         let plan = SweepPlan::new(opts.clone());
-        let units = plan.units().expect("units");
-        let pending: Vec<&WorkUnit> = units.iter().collect();
-        let order = plan.schedule(&pending).expect("sweep schedules");
-        // Valid permutation.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..pending.len()).collect::<Vec<_>>());
+        let mut units = plan.units().expect("units");
+        units.sort_by_cached_key(|u| plan.exec_key(u));
         // (network, M) never interleaves: each pair appears as one run.
         let pes = pe_choices(opts.pe_range);
-        let keys: Vec<(usize, usize)> = order
+        let keys: Vec<(usize, usize)> = units
             .iter()
-            .map(|&i| {
-                let u = pending[i];
+            .map(|u| {
                 let p = plan.point_for(u.index % opts.samples, u.seed, &pes);
                 (u.index / opts.samples, p.m)
             })

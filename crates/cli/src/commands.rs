@@ -373,11 +373,14 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
             expected: "a file path (use ./true for a file literally named true)",
         }));
     }
-    let mut cfg = if m == 6 {
-        SimConfig::default()
-    } else {
-        SimConfig::default().with_m(m)
-    };
+    if m == 0 {
+        return Err(CliError::Args(ArgError::BadValue {
+            option: "m".into(),
+            value: "0".into(),
+            expected: "a positive basis-kernel count",
+        }));
+    }
+    let mut cfg = SimConfig::default().with_m(m);
     cfg.threads = threads;
     cfg.schedule = schedule;
 
@@ -881,6 +884,18 @@ mod tests {
         assert!(
             err.to_string().contains("metrics"),
             "expected a --metrics error, got: {err}"
+        );
+    }
+
+    #[test]
+    fn simulate_rejects_zero_basis_kernels() {
+        let err = run(&["simulate", "MobileNet", "--m", "0", "--seeds", "1"]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CliError::Args(ArgError::BadValue { option, .. }) if option == "m"
+            ),
+            "expected a --m BadValue, got: {err}"
         );
     }
 

@@ -4,7 +4,7 @@
 //! (`escalate-serve/v1`, one JSON object per line in both directions;
 //! see [`proto`]). Clients submit `simulate` / `compress` / `report`
 //! jobs; each accepted job compiles into a [`RunPlan`] and executes
-//! through [`execute_streaming`] over the shared worker pool, streaming
+//! through [`execute`] over the shared worker pool, streaming
 //! `escalate-run-manifest/v1` unit records back down the socket as
 //! units complete. Identical configs in flight dedupe through the
 //! bench crate's single-flight artifact cache; the job queue is
@@ -12,7 +12,7 @@
 //! shutdown drains queued jobs before the listener exits.
 //!
 //! [`RunPlan`]: escalate_bench::plan::RunPlan
-//! [`execute_streaming`]: escalate_bench::plan::execute_streaming
+//! [`execute`]: escalate_bench::plan::execute
 
 pub mod client;
 pub mod job;

@@ -186,7 +186,7 @@ impl JobQueue {
 /// each under that client's own job id. A client whose write fails
 /// (client gone) is dropped from the fan-out and counted as failed; only
 /// once *every* client is gone does the failure surface as
-/// [`ExpError::Io`], aborting the job early in `execute_streaming` — the
+/// [`ExpError::Io`], aborting the job early in `plan::execute` — the
 /// daemon itself survives either way.
 struct SocketSink {
     clients: Vec<Client>,

@@ -81,6 +81,10 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
         ("{\"verb\": \"simulate\"}", "model"),
         ("{\"verb\": \"simulate\", \"model\": \"LeNet\"}", "LeNet"),
         ("{\"verb\": \"report\", \"experiment\": \"fig99\"}", "fig99"),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":0}",
+            "m must be positive",
+        ),
     ] {
         conn.send(bad);
         let reply = conn.recv().expect("reply");

@@ -288,6 +288,13 @@ mod tests {
     }
 
     #[test]
+    fn with_the_default_m_is_the_default_config() {
+        // Callers build every config as `default().with_m(m)`, with no
+        // special case for the Table 2 default.
+        assert_eq!(SimConfig::default().with_m(6), SimConfig::default());
+    }
+
+    #[test]
     fn larger_m_means_smaller_l() {
         let base = SimConfig::default();
         assert!(base.with_m(8).l <= base.with_m(4).l);

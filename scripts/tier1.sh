@@ -39,7 +39,7 @@ cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 # work-sharing layer is provably engaged (derived-state cache hits).
 SWEEP_DIR="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" 2>/dev/null || true' EXIT
+trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" "${SWEEP_PID:-}" 2>/dev/null || true' EXIT
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/cold.jsonl" --metrics "$SWEEP_DIR/cold.metrics.json" \
   --check results/sweep_frontier.txt > "$SWEEP_DIR/cold.txt"
@@ -52,6 +52,30 @@ cmp "$SWEEP_DIR/cold.jsonl" "$SWEEP_DIR/resumed.jsonl"
 grep -q "44 sample(s) ran, 20 resumed" "$SWEEP_DIR/resumed.txt"
 diff <(tail -n +2 "$SWEEP_DIR/cold.txt" | grep -v '^frontier matches') \
      <(tail -n +2 "$SWEEP_DIR/resumed.txt")
+# A real interrupt: run the same grid into a fresh stream, SIGINT it as
+# soon as its first record lands, and require the records completed
+# before the signal to survive (strictly between 0 and 64 of them). The
+# resume must then complete the stream byte-identically to the cold run.
+# A script starts background jobs with SIGINT ignored unless job control
+# is on, so `set -m` is what lets the signal through.
+set -m
+./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
+  --out "$SWEEP_DIR/killed.jsonl" > /dev/null &
+SWEEP_PID=$!
+set +m
+for _ in $(seq 1 3000); do
+  [ "$(wc -l 2>/dev/null < "$SWEEP_DIR/killed.jsonl" || echo 0)" -ge 1 ] && break
+  sleep 0.1
+done
+kill -INT "$SWEEP_PID"
+wait "$SWEEP_PID" || true
+KEPT="$(wc -l < "$SWEEP_DIR/killed.jsonl")"
+[ "$KEPT" -gt 0 ]
+[ "$KEPT" -lt 64 ]
+./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
+  --out "$SWEEP_DIR/killed.jsonl" > "$SWEEP_DIR/killed.txt"
+grep -q "$((64 - KEPT)) sample(s) ran, $KEPT resumed" "$SWEEP_DIR/killed.txt"
+cmp "$SWEEP_DIR/cold.jsonl" "$SWEEP_DIR/killed.jsonl"
 # Network-description + pipelined-schedule smoke: write a generated
 # network as an escalate-network/v1 file, require the file → Model →
 # file round trip to be byte-identical, and simulate it under the
