@@ -12,7 +12,6 @@ mod runner;
 mod table;
 
 mod adaptive_m;
-mod bench_sim;
 mod buffer_ablation;
 mod ca_ablation;
 mod discussion;
@@ -88,8 +87,8 @@ pub trait Experiment: Sync {
     fn summary(&self) -> &'static str;
 
     /// Whether the output is deterministic and golden-checked.
-    /// Experiments that print wall-clock measurements (`reorg_ablation`,
-    /// `bench_sim`) opt out: `--check`/`--update` skip them.
+    /// Experiments that print wall-clock measurements (`reorg_ablation`)
+    /// opt out: `--check`/`--update` skip them.
     fn golden(&self) -> bool {
         true
     }
@@ -126,7 +125,6 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &reorg_ablation::ReorgAblation,
         &rs_mapping::RsMapping,
         &schedule::ScheduleCompare,
-        &bench_sim::BenchSim,
     ]
 }
 
@@ -146,8 +144,8 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate registry names");
-        assert_eq!(names.len(), 21, "all 21 experiments must be registered");
-        for required in ["table1", "table4", "fig8", "bench_sim"] {
+        assert_eq!(names.len(), 20, "all 20 experiments must be registered");
+        for required in ["table1", "table4", "fig8", "reorg_ablation"] {
             assert!(names.contains(&required), "{required} missing");
         }
     }
@@ -161,7 +159,7 @@ mod tests {
     #[test]
     fn non_deterministic_experiments_opt_out_of_golden() {
         for e in registry() {
-            let timed = matches!(e.name(), "reorg_ablation" | "bench_sim");
+            let timed = e.name() == "reorg_ablation";
             assert_eq!(
                 e.golden(),
                 !timed,

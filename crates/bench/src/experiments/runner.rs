@@ -448,7 +448,7 @@ mod tests {
 
         let by_name = ReportOptions {
             check: true,
-            names: vec!["bench_sim".into()],
+            names: vec!["reorg_ablation".into()],
             ..ReportOptions::default()
         };
         assert!(select(&by_name).is_err());

@@ -132,18 +132,6 @@ impl ModelRun {
     }
 }
 
-/// Compresses a model once (the expensive step shared by all harnesses).
-///
-/// # Errors
-///
-/// Propagates compression failures.
-pub fn compress(
-    profile: &ModelProfile,
-    cfg: &CompressionConfig,
-) -> Result<Vec<CompressedLayer>, EscalateError> {
-    compress_model_artifacts(profile, cfg)
-}
-
 /// Cache key for [`compress_cached`]: the model name, the profile
 /// fingerprint (so two *different* networks that share a name — e.g. two
 /// `@file` descriptions both called "custom" — never collide), plus every
@@ -163,28 +151,17 @@ fn cache_key(profile: &ModelProfile, cfg: &CompressionConfig) -> CacheKey {
     )
 }
 
-/// Environment variable bounding the artifact cache
-/// ([`DEFAULT_CACHE_CAP`] when unset; invalid/zero values warn and fall
-/// back, matching [`SEEDS_ENV`]).
-pub const CACHE_CAP_ENV: &str = "ESCALATE_CACHE_CAP";
-
-/// Default artifact-cache capacity: generous for one-shot grids (the full
-/// experiment registry visits far fewer distinct `(model, config)` pairs)
-/// while keeping a long-running daemon's memory bounded.
+/// Capacity of the artifact and workload caches: generous for one-shot
+/// grids (the full experiment registry visits far fewer distinct
+/// `(model, config)` pairs) while keeping a long-running daemon's memory
+/// bounded. The daemon's `--cache` flag re-bounds the artifact cache.
 pub const DEFAULT_CACHE_CAP: usize = 32;
 
 type ArtifactCache = SingleFlightCache<CacheKey, Arc<Vec<CompressedLayer>>>;
 
-/// A cache bounded by [`CACHE_CAP_ENV`] (default [`DEFAULT_CACHE_CAP`]).
-fn env_capped_cache<K: std::hash::Hash + Eq + Clone, V: Clone>() -> SingleFlightCache<K, V> {
-    SingleFlightCache::new(
-        escalate_core::par::positive_env(CACHE_CAP_ENV).map_or(DEFAULT_CACHE_CAP, |v| v as usize),
-    )
-}
-
 fn artifact_cache() -> &'static ArtifactCache {
     static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
-    CACHE.get_or_init(env_capped_cache)
+    CACHE.get_or_init(|| SingleFlightCache::new(DEFAULT_CACHE_CAP))
 }
 
 /// Re-bounds the process-wide artifact cache (`0` = unbounded), evicting
@@ -204,15 +181,8 @@ pub fn artifact_cache_len() -> usize {
     artifact_cache().len()
 }
 
-/// Current capacity bound of the artifact cache (`0` = unbounded).
-pub fn artifact_cache_capacity() -> usize {
-    artifact_cache().capacity()
-}
-
 /// Total artifact-cache evictions since process start, independent of
-/// whether a metrics recorder is installed — the sweep's thrash warning
-/// reads this to report how much recompression an undersized cache
-/// actually caused.
+/// whether a metrics recorder is installed.
 pub fn artifact_cache_evictions() -> u64 {
     artifact_cache().evictions()
 }
@@ -227,7 +197,7 @@ pub fn artifact_cache_evictions() -> u64 {
 /// Concurrent first requests for the same key are single-flighted: one
 /// caller compresses while the others wait on that key's slot, so the
 /// expensive step never runs twice. The cache is capacity-bounded
-/// ([`CACHE_CAP_ENV`], default [`DEFAULT_CACHE_CAP`]) with LRU eviction —
+/// ([`DEFAULT_CACHE_CAP`]) with LRU eviction —
 /// a long-running daemon churning through configs stays at a fixed
 /// footprint. Hits, misses, and evictions are counted on the metrics
 /// recorder (`bench.cache_hits` / `bench.cache_misses` /
@@ -374,7 +344,7 @@ type WorkloadCache = SingleFlightCache<CacheKey, Arc<Workload>>;
 
 fn workload_cache() -> &'static WorkloadCache {
     static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
-    CACHE.get_or_init(env_capped_cache)
+    CACHE.get_or_init(|| SingleFlightCache::new(DEFAULT_CACHE_CAP))
 }
 
 /// Builds the ESCALATE [`Workload`] for `(model, compression config)` at
@@ -385,8 +355,8 @@ fn workload_cache() -> &'static WorkloadCache {
 /// workload, so rebuilding it per point is pure overhead. Hits and misses
 /// count as `sweep.derived_hits` / `sweep.derived_misses` alongside the
 /// sim-side derived-state cache, evictions as `bench.workload_evictions`;
-/// the cache shares the artifact cache's capacity policy
-/// ([`CACHE_CAP_ENV`]).
+/// the cache has the artifact cache's default capacity
+/// ([`DEFAULT_CACHE_CAP`]).
 ///
 /// # Errors
 ///
@@ -420,9 +390,11 @@ pub fn workload_cached(
 
 /// Runs all four accelerators on one model.
 ///
-/// The four simulations are independent, so they run concurrently (nested
-/// joins on the global pool) unless `sim_cfg.threads == 1`; compression
-/// goes through the per-process artifact cache.
+/// The model compresses first, through the per-process artifact cache;
+/// then the four simulations, which are independent, run concurrently
+/// (nested joins on the global pool) unless `sim_cfg.threads == 1`.
+/// Compressing inside one arm of the joins instead would leave it no
+/// spare worker, since the joins hold them.
 ///
 /// # Errors
 ///
@@ -434,37 +406,19 @@ pub fn run_model(
 ) -> Result<ModelRun, EscalateError> {
     let _t = escalate_obs::span_labeled("bench.model", &profile.name);
     escalate_core::par::configure_threads(sim_cfg.threads);
-    let artifacts = compress_cached(
-        profile,
-        &CompressionConfig {
-            m: sim_cfg.m,
-            ..CompressionConfig::default()
-        },
-    )?;
-    let bw = BaselineWorkload::for_profile(profile);
-    let caps = BufferCaps::baseline(64 * 1024);
+    let artifacts = escalate_artifacts(profile, sim_cfg)?;
+    let escalate = || run_escalate(profile, &artifacts, sim_cfg, seeds);
+    let base = |model: &dyn LayerModel| run_baseline(model, profile, sim_cfg, seeds);
     let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
-    let run_base = |model: &dyn LayerModel, threads: usize| {
-        run_accelerator(&BaselineSim::new(model, &bw), &caps, seeds, threads)
-    };
     let (escalate, (eyeriss, (scnn, sparten))) = if sim_cfg.threads == 1 {
-        (
-            run_escalate(profile, &artifacts, sim_cfg, seeds),
-            (
-                run_base(&eyeriss, 1),
-                (run_base(&scnn, 1), run_base(&sparten, 1)),
-            ),
-        )
+        (escalate(), (base(&eyeriss), (base(&scnn), base(&sparten))))
     } else {
-        rayon::join(
-            || run_escalate(profile, &artifacts, sim_cfg, seeds),
-            || {
-                rayon::join(
-                    || run_base(&eyeriss, 0),
-                    || rayon::join(|| run_base(&scnn, 0), || run_base(&sparten, 0)),
-                )
-            },
-        )
+        rayon::join(escalate, || {
+            rayon::join(
+                || base(&eyeriss),
+                || rayon::join(|| base(&scnn), || base(&sparten)),
+            )
+        })
     };
     Ok(ModelRun {
         model: profile.name.to_string(),
@@ -479,11 +433,36 @@ pub fn run_model(
 /// order (ESCALATE last).
 pub const ACCELERATOR_NAMES: [&str; 4] = ["Eyeriss", "SCNN", "SparTen", "ESCALATE"];
 
+/// ESCALATE's compressed model at `sim_cfg.m`, through the artifact cache.
+fn escalate_artifacts(
+    profile: &ModelProfile,
+    sim_cfg: &SimConfig,
+) -> Result<Arc<Vec<CompressedLayer>>, EscalateError> {
+    compress_cached(
+        profile,
+        &CompressionConfig {
+            m: sim_cfg.m,
+            ..CompressionConfig::default()
+        },
+    )
+}
+
+/// A baseline on the profile's [`BaselineWorkload`] with 64 KiB buffers.
+fn run_baseline(
+    model: &dyn LayerModel,
+    profile: &ModelProfile,
+    sim_cfg: &SimConfig,
+    seeds: u64,
+) -> AccelRun {
+    let bw = BaselineWorkload::for_profile(profile);
+    let caps = BufferCaps::baseline(64 * 1024);
+    run_accelerator(&BaselineSim::new(model, &bw), &caps, seeds, sim_cfg.threads)
+}
+
 /// Runs one of the four accelerators by name — the unit-sized slice of
 /// [`run_model`] for callers (the serve daemon's simulate plan) that fan
 /// the comparison out as independent work units. Each arm takes exactly
-/// the code path `run_model` takes for that design (artifact cache,
-/// baseline workload, buffer pricing), and every stage is
+/// the code path `run_model` takes for that design, and every stage is
 /// order-preserving with per-seed RNGs, so assembling the four results
 /// into a [`ModelRun`] is bit-identical to one `run_model` call at any
 /// thread count.
@@ -499,35 +478,21 @@ pub fn run_accelerator_by_name(
     seeds: u64,
 ) -> Result<AccelRun, EscalateError> {
     escalate_core::par::configure_threads(sim_cfg.threads);
-    if name == "ESCALATE" {
-        let artifacts = compress_cached(
+    let base = |model: &dyn LayerModel| Ok(run_baseline(model, profile, sim_cfg, seeds));
+    match name {
+        "ESCALATE" => Ok(run_escalate(
             profile,
-            &CompressionConfig {
-                m: sim_cfg.m,
-                ..CompressionConfig::default()
-            },
-        )?;
-        return Ok(run_escalate(profile, &artifacts, sim_cfg, seeds));
+            &escalate_artifacts(profile, sim_cfg)?,
+            sim_cfg,
+            seeds,
+        )),
+        "Eyeriss" => base(&Eyeriss::default()),
+        "SCNN" => base(&Scnn::default()),
+        "SparTen" => base(&SparTen::default()),
+        other => Err(EscalateError::Simulation {
+            what: format!("unknown accelerator {other:?} (expected {ACCELERATOR_NAMES:?})"),
+        }),
     }
-    let (eyeriss, scnn, sparten) = (Eyeriss::default(), Scnn::default(), SparTen::default());
-    let model: &dyn LayerModel = match name {
-        "Eyeriss" => &eyeriss,
-        "SCNN" => &scnn,
-        "SparTen" => &sparten,
-        other => {
-            return Err(EscalateError::Simulation {
-                what: format!("unknown accelerator {other:?} (expected {ACCELERATOR_NAMES:?})"),
-            })
-        }
-    };
-    let bw = BaselineWorkload::for_profile(profile);
-    let caps = BufferCaps::baseline(64 * 1024);
-    Ok(run_accelerator(
-        &BaselineSim::new(model, &bw),
-        &caps,
-        seeds,
-        sim_cfg.threads,
-    ))
 }
 
 /// Per-layer energy of one accelerator run (ESCALATE buffer pricing).

@@ -626,23 +626,6 @@ fn render_frontier(
     Ok(())
 }
 
-/// The stderr warning for a sweep whose distinct `(network, M)` artifact
-/// working set exceeds the artifact-cache capacity, or `None` when the
-/// cache held (unbounded cache, working set fits, or nothing was actually
-/// evicted — e.g. a fully resumed run never compressed at all).
-fn cache_thrash_warning(distinct: usize, capacity: usize, evictions: u64) -> Option<String> {
-    if capacity == 0 || distinct <= capacity || evictions == 0 {
-        return None;
-    }
-    Some(format!(
-        "warning: sweep visits {distinct} distinct (network, M) artifact(s) but the \
-         artifact cache holds {capacity} ({}); {evictions} eviction(s) forced recompression \
-         — raise {} to at least {distinct} to compress each pair once",
-        crate::CACHE_CAP_ENV,
-        crate::CACHE_CAP_ENV,
-    ))
-}
-
 /// Runs (or resumes) a sweep: executes the grid through the shared plan
 /// layer with the JSONL sink — units scheduled by shared `(network, M)`
 /// state, each point simulating with the derived-state caches on — then
@@ -659,27 +642,8 @@ pub fn run_sweep(opts: &SweepOptions, out: &mut dyn Write) -> Result<(), ExpErro
     escalate_core::par::configure_threads(opts.threads);
     let plan = SweepPlan::new(opts.clone());
     let units = plan.units()?; // validate before touching the stream
-    let evictions_before = crate::artifact_cache_evictions();
     let mut sink = JsonlSink::open(&opts.out)?;
     let summary = plan::execute(&plan, &mut sink)?;
-    // Warn (once, on stderr) when the grid's artifact working set cannot
-    // fit the cache: every revisit of an evicted (network, M) pair
-    // recompresses from scratch, usually the dominant cost of the run.
-    let pes = pe_choices(opts.pe_range);
-    let mut pairs: Vec<(usize, usize)> = units
-        .iter()
-        .map(|u| {
-            let point = plan.point_for(u.index % opts.samples, u.seed, &pes);
-            (u.index / opts.samples, point.m)
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    let evicted = crate::artifact_cache_evictions() - evictions_before;
-    if let Some(msg) = cache_thrash_warning(pairs.len(), crate::artifact_cache_capacity(), evicted)
-    {
-        eprintln!("{msg}");
-    }
     writeln!(
         out,
         "sweep: {} sample(s) ran, {} resumed -> {}",
@@ -955,18 +919,6 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(!f.is_empty());
         assert!(ParetoFrontier::new().is_empty());
-    }
-
-    #[test]
-    fn thrash_warning_fires_only_for_undersized_caches() {
-        assert_eq!(cache_thrash_warning(4, 0, 9), None, "unbounded cache");
-        assert_eq!(cache_thrash_warning(4, 4, 9), None, "working set fits");
-        assert_eq!(cache_thrash_warning(4, 8, 9), None, "cache larger");
-        assert_eq!(cache_thrash_warning(4, 2, 0), None, "nothing evicted");
-        let msg = cache_thrash_warning(4, 2, 9).expect("undersized cache warns");
-        assert!(msg.contains("4 distinct"), "{msg}");
-        assert!(msg.contains("9 eviction(s)"), "{msg}");
-        assert!(msg.contains(crate::CACHE_CAP_ENV), "{msg}");
     }
 
     #[test]

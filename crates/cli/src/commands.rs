@@ -1,10 +1,10 @@
 //! Command handlers for the `escalate` CLI.
 
 use crate::args::{ArgError, ParsedArgs};
-use escalate_bench::{compress, input_seeds, run_model};
+use escalate_bench::{input_seeds, run_model};
 use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
 use escalate_core::pipeline::CompressionConfig;
-use escalate_core::ModelCompression;
+use escalate_core::{compress_model_artifacts, ModelCompression};
 use escalate_models::ModelProfile;
 use escalate_sim::{ScheduleKind, SimConfig};
 
@@ -109,8 +109,7 @@ COMMANDS:
         --update       regenerate the results/ golden corpus
         --out <DIR>    one file per experiment instead of stdout
         --results <DIR> golden corpus location (default results/)
-        -- <ARG ...>   forwarded to the experiments (fig11's model,
-                       bench_sim's output file)
+        -- <ARG ...>   forwarded to the experiments (fig11's model)
     serve                          run the batching simulation daemon
                                    (line-JSON over TCP on 127.0.0.1;
                                    blocks until a shutdown request)
@@ -128,13 +127,6 @@ COMMANDS:
         --port <N>     daemon port, or --port-file <FILE> to read it
         --m/--seeds/--qat/--seed/--layers/--schedule
                        as for the one-shot verbs
-    loadgen                        drive an in-process daemon with a
-                                   seeded request mix and report latency
-        --jobs <N>     requests to send (default 24)
-        --seed <N>     schedule seed (default 42)
-        --workers <N>  daemon workers (default 2)
-        --queue <N>    daemon queue capacity (default 4)
-        --out <FILE>   write the escalate-serve-bench/v1 JSON report
     inspect <FILE>                 summarize a saved .esca artifact
     validate <MODEL>               cross-check the three simulator
                                    fidelities on one layer
@@ -213,7 +205,6 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
         "validate" => cmd_validate(args),
         "serve" => cmd_serve(args),
         "submit" => cmd_submit(args),
-        "loadgen" => cmd_loadgen(args),
         other => Err(CliError::Args(ArgError::BadValue {
             option: "COMMAND".into(),
             value: other.into(),
@@ -329,7 +320,8 @@ fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
         seed: args.get_or("seed", 42u64)?,
         ..CompressionConfig::default()
     };
-    let artifacts = compress(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let artifacts =
+        compress_model_artifacts(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
     let result = ModelCompression {
         model_name: p.name.to_string(),
         layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
@@ -558,7 +550,7 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, CliError> {
 
     args.ensure_known(&["layer"])?;
     let p = model_arg(args)?;
-    let artifacts = compress(&p, &CompressionConfig::default())
+    let artifacts = compress_model_artifacts(&p, &CompressionConfig::default())
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
     let workload = Workload::from_artifacts(&p.name, &artifacts, &p);
 
@@ -758,32 +750,6 @@ fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
-    args.ensure_known(&["jobs", "seed", "workers", "queue", "out"])?;
-    let opts = escalate_serve::LoadgenOptions {
-        jobs: args.get_or("jobs", 24usize)?,
-        seed: args.get_or("seed", 42u64)?,
-        workers: args.get_or("workers", 2usize)?,
-        queue: args.get_or("queue", 4usize)?,
-        out: args.options.get("out").map(std::path::PathBuf::from),
-    };
-    let r = escalate_serve::run_loadgen(&opts).map_err(CliError::Pipeline)?;
-    Ok(format!(
-        "loadgen: {} jobs ({} done, {} failed, {} backpressure retries) in {:.0} ms\n\
-         latency p50 {:.1} ms, p99 {:.1} ms; {:.2} jobs/s ({} workers, queue {})\n",
-        r.jobs,
-        r.done,
-        r.failed,
-        r.retries,
-        r.wall_ms,
-        r.p50_ms,
-        r.p99_ms,
-        r.jobs_per_sec,
-        r.workers,
-        r.queue
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,7 +882,7 @@ mod tests {
     #[test]
     fn report_list_enumerates_the_registry() {
         let out = run(&["report", "--list"]).unwrap();
-        for name in ["table1", "fig8", "fig13", "bench_sim"] {
+        for name in ["table1", "fig8", "fig13", "reorg_ablation"] {
             assert!(out.contains(name), "{name} missing:\n{out}");
         }
     }

@@ -133,11 +133,6 @@ impl<K: Hash + Eq + Clone, V: Clone> SingleFlightCache<K, V> {
         self.len() == 0
     }
 
-    /// The capacity bound (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        lock_recover(&self.inner).capacity
-    }
-
     /// Entries evicted since construction, by lookups and by
     /// [`SingleFlightCache::set_capacity`] alike.
     pub fn evictions(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! One front door for turning a network spec string into a profile.
 //!
-//! Every by-name network lookup in the workspace (CLI, sweep, serve jobs,
-//! loadgen) routes through [`resolve`], so the accepted spellings and the
+//! Every by-name network lookup in the workspace (CLI, sweep, serve jobs)
+//! routes through [`resolve`], so the accepted spellings and the
 //! unknown-name error are identical everywhere. A spec is one of:
 //!
 //! - a zoo model name (`ResNet18`),

@@ -8,9 +8,9 @@
 //! is still parseable. The dependency policy forbids external JSON
 //! crates, so records are written through [`crate::JsonWriter`] and read
 //! back with the targeted field scanners here ([`json_string_field`],
-//! [`json_f64_field`], [`json_u64_field`]) instead of a full parser: the
-//! only records this workspace scans are ones it wrote itself, with known
-//! top-level field names.
+//! [`json_f64_field`], [`json_u64_field`], [`json_bool_field`]) instead of
+//! a full parser: the only records this workspace scans are ones it wrote
+//! itself, with known top-level field names.
 
 use std::io::Write;
 use std::path::Path;
@@ -146,6 +146,22 @@ pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
     scalar_token(line, key)?.parse().ok()
 }
 
+/// Extracts a boolean field (`true`/`false`) from one JSONL record.
+pub fn json_bool_field(line: &str, key: &str) -> Option<bool> {
+    match scalar_token(line, key)? {
+        "true" => Some(true),
+        "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// Whether one JSONL record has a `"key": …` member, whatever its value:
+/// lets a strict reader tell an absent optional field from a present
+/// malformed one.
+pub fn json_has_field(line: &str, key: &str) -> bool {
+    value_start(line, key).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +208,19 @@ mod tests {
         assert_eq!(json_f64_field(&line, "bad"), None, "null is not a float");
         assert_eq!(json_string_field(&line, "absent"), None);
         assert_eq!(json_u64_field(&line, "key"), None, "strings do not parse");
+    }
+
+    #[test]
+    fn bool_and_presence_scanners_accept_compact_and_spaced_members() {
+        for line in ["{\"a\":true,\"b\":false}", "{\"a\": true, \"b\": false}"] {
+            assert_eq!(json_bool_field(line, "a"), Some(true), "{line}");
+            assert_eq!(json_bool_field(line, "b"), Some(false), "{line}");
+            assert!(json_has_field(line, "a"), "{line}");
+            assert!(!json_has_field(line, "c"), "{line}");
+        }
+        assert_eq!(json_bool_field("{\"a\": \"true\"}", "a"), None);
+        assert_eq!(json_bool_field("{\"a\": 1}", "a"), None);
+        assert_eq!(json_bool_field("{\"a\": trueish}", "a"), None);
     }
 
     #[test]

@@ -16,12 +16,10 @@
 
 pub mod client;
 pub mod job;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 
 pub use client::submit;
 pub use job::CompiledJob;
-pub use loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
 pub use proto::{parse_request, read_frame, write_frame, Request};
 pub use server::{serve_on, start, Handle, ServeOptions, ServeSummary};

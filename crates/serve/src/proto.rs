@@ -11,7 +11,7 @@
 //! to the one-shot CLI's. Frames and requests are hand-rendered/scanned
 //! (no external JSON dependency), mirroring the rest of the workspace.
 
-use escalate_obs::jsonl::{json_string_field, json_u64_field};
+use escalate_obs::jsonl::{json_bool_field, json_has_field, json_string_field, json_u64_field};
 use escalate_obs::JsonWriter;
 use std::io::{BufRead, Read, Write};
 
@@ -135,18 +135,20 @@ impl Request {
     }
 }
 
-/// Extracts a boolean field from one request line (the obs scanners cover
-/// strings and numbers; requests also carry flags).
-fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\": ");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+/// An optional request field: `default` when the key is absent, an error
+/// naming the field when it is present but `scan` cannot read it — a
+/// malformed value never silently becomes the default.
+fn optional<T>(
+    line: &str,
+    key: &str,
+    what: &str,
+    default: T,
+    scan: fn(&str, &str) -> Option<T>,
+) -> Result<T, String> {
+    if !json_has_field(line, key) {
+        return Ok(default);
     }
+    scan(line, key).ok_or_else(|| format!("field {key:?} must be {what}"))
 }
 
 /// Parses one request line.
@@ -162,19 +164,33 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         json_string_field(l, "model")
             .ok_or_else(|| format!("{verb:?} request has no \"model\" field"))
     };
+    let uint = |key: &str, default: u64| {
+        optional(line, key, "an unsigned integer", default, json_u64_field)
+    };
+    let size = |key: &str, default: usize| {
+        optional(line, key, "an unsigned integer", default, |l, k| {
+            json_u64_field(l, k).and_then(|v| usize::try_from(v).ok())
+        })
+    };
     match verb.as_str() {
         "simulate" => Ok(Request::Simulate {
             model: model(line)?,
-            m: json_u64_field(line, "m").unwrap_or(6) as usize,
-            seeds: json_u64_field(line, "seeds").unwrap_or(1),
-            schedule: json_string_field(line, "schedule").unwrap_or_else(|| "serial".to_string()),
+            m: size("m", 6)?,
+            seeds: uint("seeds", 1)?,
+            schedule: optional(
+                line,
+                "schedule",
+                "a string",
+                "serial".into(),
+                json_string_field,
+            )?,
         }),
         "compress" => Ok(Request::Compress {
             model: model(line)?,
-            m: json_u64_field(line, "m").unwrap_or(6) as usize,
-            qat: json_u64_field(line, "qat").unwrap_or(0) as usize,
-            seed: json_u64_field(line, "seed").unwrap_or(42),
-            layers: json_bool_field(line, "layers").unwrap_or(false),
+            m: size("m", 6)?,
+            qat: size("qat", 0)?,
+            seed: uint("seed", 42)?,
+            layers: optional(line, "layers", "true or false", false, json_bool_field)?,
         }),
         "report" => Ok(Request::Report {
             experiment: json_string_field(line, "experiment")

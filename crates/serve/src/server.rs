@@ -10,10 +10,9 @@
 //! each client's own job id (`serve.jobs_coalesced` counts the riders). `shutdown`
 //! stops the accept loop, drains every queued job, then confirms to the
 //! requester. A long-running daemon refuses to start on malformed
-//! tuning env vars (`ESCALATE_THREADS`/`ESCALATE_SEEDS`/
-//! `ESCALATE_CACHE_CAP`): a warn-and-fall-back default that would be a
-//! one-shot papercut silently misconfigures every job the daemon ever
-//! serves.
+//! tuning env vars (`ESCALATE_THREADS`/`ESCALATE_SEEDS`): a
+//! warn-and-fall-back default that would be a one-shot papercut silently
+//! misconfigures every job the daemon ever serves.
 
 use crate::job::CompiledJob;
 use crate::proto::{
@@ -22,7 +21,7 @@ use crate::proto::{
 };
 use escalate_bench::experiments::ExpError;
 use escalate_bench::plan::{UnitOutput, UnitSink, WorkUnit};
-use escalate_bench::{CACHE_CAP_ENV, SEEDS_ENV};
+use escalate_bench::SEEDS_ENV;
 use escalate_core::par::{strict_positive_env, THREADS_ENV};
 use escalate_obs::Registry;
 use std::collections::VecDeque;
@@ -77,7 +76,7 @@ fn lock_recover<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 /// Refuses to start when a tuning env var is set but malformed.
 fn audit_env() -> Result<(), String> {
-    for var in [THREADS_ENV, SEEDS_ENV, CACHE_CAP_ENV] {
+    for var in [THREADS_ENV, SEEDS_ENV] {
         strict_positive_env(var).map_err(|e| format!("refusing to start: {e}"))?;
     }
     Ok(())

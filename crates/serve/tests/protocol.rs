@@ -1,4 +1,4 @@
-//! Protocol robustness: malformed frames, oversized requests,
+//! Protocol robustness: strict request fields, malformed frames, oversized requests,
 //! mid-stream disconnects, backpressure, single-flight dedupe of
 //! identical in-flight jobs, and shutdown-while-draining.
 //!
@@ -6,7 +6,7 @@
 //! test that starts a daemon holds [`SERVER_LOCK`].
 
 use escalate_obs::jsonl::{json_string_field, json_u64_field};
-use escalate_serve::proto::{read_frame, write_frame, MAX_FRAME};
+use escalate_serve::proto::{parse_request, read_frame, write_frame, MAX_FRAME};
 use escalate_serve::{start, submit, Request, ServeOptions};
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -69,6 +69,44 @@ fn wait_for_counter(port: u16, counter: &str, at_least: u64) -> u64 {
 }
 
 #[test]
+fn compact_frames_parse_like_spaced_ones() {
+    let compact = parse_request("{\"verb\":\"compress\",\"model\":\"MobileNet\",\"layers\":true}");
+    let spaced =
+        parse_request("{\"verb\": \"compress\", \"model\": \"MobileNet\", \"layers\": true}");
+    assert_eq!(compact, spaced);
+    assert!(
+        matches!(compact, Ok(Request::Compress { layers: true, .. })),
+        "{compact:?}"
+    );
+}
+
+#[test]
+fn present_but_malformed_fields_are_errors_naming_the_field() {
+    for (fields, name) in [
+        ("\"m\":\"7\"", "m"),
+        ("\"m\":-1", "m"),
+        ("\"m\": 6.0", "m"),
+        ("\"seeds\":1.5", "seeds"),
+        ("\"seeds\": null", "seeds"),
+        ("\"schedule\": 5", "schedule"),
+    ] {
+        let line = format!("{{\"verb\":\"simulate\",\"model\":\"MobileNet\",{fields}}}");
+        let e = parse_request(&line).expect_err(&line);
+        assert!(e.contains(&format!("\"{name}\"")), "{line}: {e}");
+    }
+    for (fields, name) in [
+        ("\"qat\":-2", "qat"),
+        ("\"seed\":\"42\"", "seed"),
+        ("\"layers\":\"yes\"", "layers"),
+        ("\"layers\": 1", "layers"),
+    ] {
+        let line = format!("{{\"verb\":\"compress\",\"model\":\"MobileNet\",{fields}}}");
+        let e = parse_request(&line).expect_err(&line);
+        assert!(e.contains(&format!("\"{name}\"")), "{line}: {e}");
+    }
+}
+
+#[test]
 fn malformed_frames_get_errors_and_the_connection_stays_usable() {
     let _guard = lock();
     let handle = start(ServeOptions::default()).expect("start");
@@ -84,6 +122,14 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
         (
             "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":0}",
             "m must be positive",
+        ),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":\"7\"}",
+            "\"m\"",
+        ),
+        (
+            "{\"verb\": \"simulate\", \"model\": \"MobileNet\", \"seeds\": 1.5}",
+            "\"seeds\"",
         ),
     ] {
         conn.send(bad);

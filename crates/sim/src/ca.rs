@@ -26,11 +26,11 @@
 //!   scalar reference.
 //!
 //! The per-channel memo that rode along in earlier revisions is gone: on
-//! the real grid its hit rate measured 0.0000 (BENCH_sim.json) because
+//! the real grid its hit rate measured 0.0000 (DESIGN.md §2.2) because
 //! Bernoulli-drawn multi-word activation masks essentially never repeat
 //! within one channel bind, and the bit-identity contract forbids coarser
 //! keying — so it was pure probe overhead and was deleted rather than
-//! rekeyed (see DESIGN.md §2.2 for the verdict).
+//! rekeyed.
 
 use crate::config::SimConfig;
 use escalate_sparse::{dilute_into, ConcentrationBuffer, DilutionInput, MaskConcentration};

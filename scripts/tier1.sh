@@ -35,16 +35,28 @@ cargo bench --offline -p escalate-bench --bench position_kernel -- --test
 # it by keeping only the first 20 records, resume from the stream, and
 # require the resumed stream to be byte-identical to the cold run — with
 # an identical Pareto summary (it is recomputed from the parsed stream
-# either way). The cold run records metrics so the cross-point
-# work-sharing layer is provably engaged (derived-state cache hits).
+# either way). The cold run records metrics: its deterministic work
+# counters (compressions, plan compiles, cache traffic, positions walked)
+# are identical at any thread count, so each is checked exactly — a
+# change in how much work the grid does fails here. Wall times are never
+# gated.
 SWEEP_DIR="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" "${SWEEP_PID:-}" 2>/dev/null || true' EXIT
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/cold.jsonl" --metrics "$SWEEP_DIR/cold.metrics.json" \
   --check results/sweep_frontier.txt > "$SWEEP_DIR/cold.txt"
-grep -o '"sweep.derived_hits": [0-9]*' "$SWEEP_DIR/cold.metrics.json" \
-  | grep -qv ': 0$'
+for want in bench.cache_hits=54 bench.cache_misses=10 \
+  ca.plan_compiles=411 ca.plan_reuses=1093 \
+  pipeline.synth_hits=240 pipeline.synth_misses=79 \
+  pipeline.unit_hits=76 pipeline.unit_misses=19 pipeline.units=245 \
+  sweep.derived_hits=1417 sweep.derived_misses=151 \
+  sweep.derived_evictions=485 sweep.walk_hits=507 \
+  sweep.frontier_comparisons=940 sim.positions_walked=426368; do
+  name="${want%%=*}"
+  grep -qE "\"${name//./\\.}\": ${want#*=}[,}]" "$SWEEP_DIR/cold.metrics.json" \
+    || { echo "work counter $name != ${want#*=}" >&2; exit 1; }
+done
 head -n 20 "$SWEEP_DIR/cold.jsonl" > "$SWEEP_DIR/resumed.jsonl"
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/resumed.jsonl" > "$SWEEP_DIR/resumed.txt"

@@ -166,7 +166,8 @@ fn m_tradeoff_direction() {
             m,
             ..CompressionConfig::default()
         };
-        let artifacts = escalate_bench::compress(&profile, &cfg).expect("compression succeeds");
+        let artifacts =
+            escalate::algo::compress_model_artifacts(&profile, &cfg).expect("compression succeeds");
         let stats = escalate::algo::ModelCompression {
             model_name: "r18".into(),
             layers: artifacts.iter().map(|a| a.stats.clone()).collect(),
