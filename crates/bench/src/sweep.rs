@@ -430,8 +430,8 @@ impl RunPlan for SweepPlan {
         cfg.schedule = self.opts.schedule;
         // The sweep's whole point is thousands of design points over a few
         // `(network, M)` pairs: share every hardware-invariant derived
-        // artifact — compression, the workload, activation masks, compiled
-        // position plans — across points. Results are bit-identical to a
+        // artifact — compression, the workload, activation masks, folded
+        // walk sums — across points. Results are bit-identical to a
         // cold run (the caches replay/verify, never approximate).
         cfg.share_derived = true;
         let workload = crate::workload_cached(
@@ -464,7 +464,7 @@ impl RunPlan for SweepPlan {
     fn exec_key(&self, unit: &WorkUnit) -> u64 {
         // Execute points grouped by their shared derived state: first by
         // network, then by `M` (the compression/workload cache key), then
-        // by the fidelity knob (the plan-cache key includes the channel
+        // by the fidelity knob (the walk-cache key includes the channel
         // sample). Adjacent units hit the caches while their entries are
         // hot, so small capacities stop thrashing on large grids. The
         // executor's sort is stable, so enumeration order holds inside

@@ -139,6 +139,19 @@ MODELS: VGG16, ResNet18, ResNet152, MobileNetV2 (CIFAR-10);
         description and gen:NAME[:key=value,...] generates one
         (generators: grouped, dilated, bottleneck, vit)";
 
+/// The boolean flags of `command`: they never take a value. Every other
+/// option takes the next argument as its value (see [`ParsedArgs::parse`]).
+pub fn boolean_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        // Before any command: `escalate --help` is a flag, not an option
+        // missing its value.
+        "" => &["help"],
+        "compress" | "submit" => &["layers"],
+        "report" => &["list", "all", "json", "check", "update"],
+        _ => &[],
+    }
+}
+
 /// Resolves one model spec — a zoo name, an `@FILE` network description,
 /// or a `gen:NAME[:key=value,...]` generator — through the shared
 /// [`escalate_models::resolve`] entry every harness uses.
@@ -164,9 +177,8 @@ fn model_arg(args: &ParsedArgs) -> Result<ModelProfile, CliError> {
     let name = args
         .positional
         .first()
-        .ok_or(CliError::Args(ArgError::BadValue {
-            option: "MODEL".into(),
-            value: "<missing>".into(),
+        .ok_or(CliError::Args(ArgError::MissingArgument {
+            name: "MODEL",
             expected: "a model name, @FILE, or gen:NAME spec",
         }))?;
     profile(name)
@@ -205,8 +217,8 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
         "validate" => cmd_validate(args),
         "serve" => cmd_serve(args),
         "submit" => cmd_submit(args),
-        other => Err(CliError::Args(ArgError::BadValue {
-            option: "COMMAND".into(),
+        other => Err(CliError::Args(ArgError::BadArgument {
+            name: "COMMAND",
             value: other.into(),
             expected: "one of models|compress|simulate|sweep|help",
         })),
@@ -217,38 +229,14 @@ fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known(&[
         "list", "all", "json", "check", "update", "out", "results", "--",
     ])?;
-    // Rebuild a runner argv so `escalate report` goes through the
-    // runner's own parser (and its validation). The generic
-    // CLI parser eats the token after a bare flag as its value
-    // (`report --check table4` parses as check="table4"), so a non-"true"
-    // value on a boolean flag is really the flag plus an experiment name.
-    let mut argv: Vec<String> = Vec::new();
-    for flag in ["list", "all", "json", "check", "update"] {
-        if let Some(v) = args.options.get(flag) {
-            argv.push(format!("--{flag}"));
-            if v != "true" {
-                argv.push(v.clone());
-            }
-        }
-    }
-    for key in ["out", "results"] {
-        if let Some(v) = args.options.get(key).filter(|v| *v != "true") {
-            argv.push(format!("--{key}"));
-            argv.push(v.clone());
-        }
-    }
-    argv.extend(args.positional.iter().cloned());
-    if !args.forwarded.is_empty() {
-        argv.push("--".into());
-        argv.extend(args.forwarded.iter().cloned());
-    }
-    let opts = escalate_bench::experiments::ReportOptions::parse(argv).map_err(|msg| {
-        CliError::Args(ArgError::BadValue {
-            option: "report".into(),
-            value: msg,
-            expected: "a report invocation (see `escalate help`)",
-        })
-    })?;
+    let opts =
+        escalate_bench::experiments::ReportOptions::parse(args.tokens.clone()).map_err(|msg| {
+            CliError::Args(ArgError::BadArgument {
+                name: "report",
+                value: msg,
+                expected: "a report invocation (see `escalate help`)",
+            })
+        })?;
     let mut buf = Vec::new();
     let clean = escalate_bench::experiments::run_report(&opts, &mut buf)
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
@@ -293,7 +281,7 @@ fn cmd_network(args: &ParsedArgs) -> Result<String, CliError> {
         .to_description()
         .map_err(|e| CliError::Pipeline(e.to_string()))?;
     match args.options.get("out") {
-        Some(path) if path != "true" => {
+        Some(path) => {
             std::fs::write(path, &text)
                 .map_err(|e| CliError::Pipeline(format!("cannot write {path}: {e}")))?;
             Ok(format!(
@@ -302,11 +290,6 @@ fn cmd_network(args: &ParsedArgs) -> Result<String, CliError> {
                 model.layers().len()
             ))
         }
-        Some(_) => Err(CliError::Args(ArgError::BadValue {
-            option: "out".into(),
-            value: "true".into(),
-            expected: "a file path (use ./true for a file literally named true)",
-        })),
         None => Ok(text),
     }
 }
@@ -356,15 +339,6 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
     let seeds = args.get_or("seeds", input_seeds())?;
     let threads = args.get_or("threads", 0usize)?;
     let metrics_path = args.options.get("metrics").cloned();
-    // A bare `--metrics` parses as the flag sentinel "true"; refuse it
-    // rather than silently writing a manifest to a file named `true`.
-    if metrics_path.as_deref() == Some("true") {
-        return Err(CliError::Args(ArgError::BadValue {
-            option: "metrics".into(),
-            value: "true".into(),
-            expected: "a file path (use ./true for a file literally named true)",
-        }));
-    }
     if m == 0 {
         return Err(CliError::Args(ArgError::BadValue {
             option: "m".into(),
@@ -437,15 +411,6 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
         })?;
     }
     if let Some(path) = args.options.get("out") {
-        // A bare `--out` parses as the flag sentinel "true"; refuse it
-        // rather than silently streaming to a file named `true`.
-        if path == "true" {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: "out".into(),
-                value: "true".into(),
-                expected: "a file path (use ./true for a file literally named true)",
-            }));
-        }
         opts.out = std::path::PathBuf::from(path);
     }
     if let Some(v) = args.options.get("sampler") {
@@ -457,19 +422,11 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, CliError> {
             })
         })?;
     }
-    // `--check`/`--update` take the golden path as their value; the bare
-    // flag sentinel "true" is refused like `--out`'s.
+    // `--check`/`--update` take the golden path as their value.
     for (name, mode) in [("check", GoldenMode::Check), ("update", GoldenMode::Update)] {
         let Some(path) = args.options.get(name) else {
             continue;
         };
-        if path == "true" {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: name.into(),
-                value: "true".into(),
-                expected: "a frontier golden file path",
-            }));
-        }
         if opts.golden.is_some() {
             return Err(CliError::Args(ArgError::BadValue {
                 option: name.into(),
@@ -504,9 +461,8 @@ fn cmd_inspect(args: &ParsedArgs) -> Result<String, CliError> {
     let path = args
         .positional
         .first()
-        .ok_or(CliError::Args(ArgError::BadValue {
-            option: "FILE".into(),
-            value: "<missing>".into(),
+        .ok_or(CliError::Args(ArgError::MissingArgument {
+            name: "FILE",
             expected: "an artifact path",
         }))?;
     let file = std::fs::File::open(path)
@@ -666,9 +622,8 @@ fn submit_port(args: &ParsedArgs) -> Result<u16, CliError> {
         return args.get_or("port", 0u16).map_err(CliError::Args);
     }
     let Some(path) = args.options.get("port-file") else {
-        return Err(CliError::Args(ArgError::BadValue {
-            option: "port".into(),
-            value: "<missing>".into(),
+        return Err(CliError::Args(ArgError::MissingArgument {
+            name: "--port",
             expected: "--port <N> or --port-file <FILE>",
         }));
     };
@@ -697,18 +652,16 @@ fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
     let verb = args
         .positional
         .first()
-        .ok_or(CliError::Args(ArgError::BadValue {
-            option: "VERB".into(),
-            value: "<missing>".into(),
+        .ok_or(CliError::Args(ArgError::MissingArgument {
+            name: "VERB",
             expected: "simulate|compress|report|metrics|ping|shutdown",
         }))?;
     let arg = |what: &'static str| {
         args.positional
             .get(1)
             .cloned()
-            .ok_or(CliError::Args(ArgError::BadValue {
-                option: "ARG".into(),
-                value: "<missing>".into(),
+            .ok_or(CliError::Args(ArgError::MissingArgument {
+                name: "ARG",
                 expected: what,
             }))
     };
@@ -735,8 +688,8 @@ fn cmd_submit(args: &ParsedArgs) -> Result<String, CliError> {
         "ping" => escalate_serve::Request::Ping,
         "shutdown" => escalate_serve::Request::Shutdown,
         other => {
-            return Err(CliError::Args(ArgError::BadValue {
-                option: "VERB".into(),
+            return Err(CliError::Args(ArgError::BadArgument {
+                name: "VERB",
                 value: other.into(),
                 expected: "simulate|compress|report|metrics|ping|shutdown",
             }))
@@ -755,7 +708,7 @@ mod tests {
     use super::*;
 
     fn run(line: &[&str]) -> Result<String, CliError> {
-        dispatch(&ParsedArgs::parse(line.iter().copied()).unwrap())
+        dispatch(&ParsedArgs::parse(line.iter().copied(), boolean_flags)?)
     }
 
     #[test]
@@ -889,8 +842,8 @@ mod tests {
 
     #[test]
     fn report_flag_before_name_keeps_the_name() {
-        // The generic parser turns `--check table4` into check="table4";
-        // cmd_report must restore both the flag and the experiment name.
+        // `--check` is a boolean flag for report: `table4` stays the
+        // experiment name.
         let e = run(&["report", "--check", "table4", "--results", "/nonexistent"]).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("golden drift"), "{msg}");

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::ParsedArgs::parse(raw) {
+    let parsed = match args::ParsedArgs::parse(raw, commands::boolean_flags) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");

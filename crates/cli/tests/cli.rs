@@ -51,3 +51,36 @@ fn compress_produces_summary() {
     assert!(stdout.contains("compression"));
     assert!(stdout.contains("proxy top-1"));
 }
+
+#[test]
+fn a_boolean_flag_never_takes_the_model_as_its_value() {
+    let (ok, before, stderr) = run(&["compress", "--layers", "MobileNet"]);
+    assert!(ok, "stderr: {stderr}");
+    let (ok, after, _) = run(&["compress", "MobileNet", "--layers"]);
+    assert!(ok);
+    assert_eq!(before, after);
+}
+
+#[test]
+fn a_bare_valued_option_is_an_error_naming_it() {
+    let (ok, _, stderr) = run(&["simulate", "MobileNet", "--seeds", "1", "--metrics"]);
+    assert!(!ok);
+    assert!(stderr.contains("--metrics needs a value"), "{stderr}");
+}
+
+#[test]
+fn report_check_reads_the_next_argument_as_an_experiment() {
+    let (ok, stdout, stderr) = run(&["report", "--check", "table4"]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("table4"), "{stdout}");
+}
+
+#[test]
+fn a_missing_model_is_named_as_an_argument_not_an_option() {
+    for args in [&["simulate"][..], &["compress", "--layers"], &["network"]] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains("missing MODEL"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("--MODEL"), "{args:?}: {stderr}");
+    }
+}

@@ -8,15 +8,14 @@
 //! capacity bound keeps a long-running process (the `escalate serve`
 //! daemon, a long sweep) at a fixed footprint.
 //!
-//! It backs the simulator's derived-state caches (masks, plans, walks),
-//! the compression pipeline's reuse caches (weights, pointwise, units)
-//! and the harness's artifact and workload caches. The primitive records
+//! It backs the simulator's derived-state caches (masks, walks), the
+//! compression pipeline's synth caches (weights, pointwise) and the
+//! harness's artifact and workload caches. The primitive records
 //! no metrics: each call site counts its own hits, misses and evictions
 //! from the returned [`Lookup`].
 //!
 //! A slot lock is held while its value is computed, so a computation may
-//! look up *other* caches (walk → masks/plans, artifacts → units →
-//! weights) but must never re-enter the cache it is computing for.
+//! look up *other* caches (walk → masks, artifacts → weights) but must never re-enter the cache it is computing for.
 //!
 //! Eviction never touches an *in-flight* entry: a caller computing or
 //! waiting on a slot holds a clone of its `Arc`, so any entry with an

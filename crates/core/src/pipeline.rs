@@ -39,13 +39,13 @@ pub struct CompressionConfig {
     pub qat_epochs: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Share `M`-invariant intermediates across repeated compressions of
-    /// the same model (synthetic weights; whole pointwise/dense units,
-    /// which never consult `M`) through bounded process-global caches.
-    /// Purely a time/memory trade — every cached value is a deterministic
-    /// function of its key, so results are bit-identical either way.
-    /// Design-space sweeps opt in; one-shot compressions should leave it
-    /// off and skip the resident cache footprint.
+    /// Share the `M`-invariant synthetic weights (weight tensors and
+    /// pointwise weight matrices) across repeated compressions of the same
+    /// model through two bounded process-global synth caches. Purely a
+    /// time/memory trade — every cached value is a deterministic function
+    /// of its key, so results are bit-identical either way. Design-space
+    /// sweeps opt in; one-shot compressions should leave it off and skip
+    /// the resident cache footprint.
     pub reuse_units: bool,
 }
 
@@ -548,17 +548,15 @@ fn plan_units(profile: &ModelProfile, cfg: &CompressionConfig) -> Vec<UnitPlan> 
 
 /// Default bound of each [`CompressionConfig::reuse_units`] cache
 /// (entries). Sized for a sweep alternating between a couple of
-/// MobileNet-class networks (≈30 units each); eviction is LRU, so even a
-/// larger zoo just loses cross-network reuse, never correctness.
+/// MobileNet-class networks (≈30 weight tensors each); eviction is LRU, so
+/// even a larger zoo just loses cross-network reuse, never correctness.
 const DEFAULT_REUSE_CAP: usize = 128;
 
-/// The three opt-in reuse caches: synthetic weight tensors and pointwise
-/// weight matrices (`M`-invariant for every unit kind), and finished
-/// `M`-invariant units (pointwise/dense, which never consult `M`).
+/// The two opt-in reuse caches: synthetic weight tensors and pointwise
+/// weight matrices (`M`-invariant for every unit kind).
 struct ReuseCaches {
     weights: SingleFlightCache<String, Arc<Tensor>>,
     pointwise: SingleFlightCache<String, Arc<Matrix>>,
-    units: SingleFlightCache<String, Arc<CompressedLayer>>,
 }
 
 fn reuse_caches() -> &'static ReuseCaches {
@@ -566,7 +564,6 @@ fn reuse_caches() -> &'static ReuseCaches {
     CACHES.get_or_init(|| ReuseCaches {
         weights: SingleFlightCache::new(DEFAULT_REUSE_CAP),
         pointwise: SingleFlightCache::new(DEFAULT_REUSE_CAP),
-        units: SingleFlightCache::new(DEFAULT_REUSE_CAP),
     })
 }
 
@@ -624,52 +621,8 @@ fn synth_pointwise(c: usize, k: usize, seed: u64, reuse: bool) -> Arc<Matrix> {
     count_synth(look)
 }
 
-/// The unit-cache key for units whose artifact never consults `M` —
-/// sweeping `M` over such a unit re-derives the identical artifact, so
-/// design points that differ only in `M` share it. `None` for unit kinds
-/// with any `M`-dependence (their reuse is the coarser per-`(model, M)`
-/// artifact cache in the bench layer). The `UnitPlan` debug form embeds
-/// the full layer shape, derived seeds, and the sparsity target; f64
-/// formatting round-trips, so distinct targets never alias.
-fn m_invariant_unit_key(unit: &UnitPlan, cfg: &CompressionConfig) -> Option<String> {
-    match unit {
-        UnitPlan::Dense { .. } | UnitPlan::Pointwise { .. } => {
-            Some(format!("{unit:?}|bb{}", cfg.basis_bits))
-        }
-        UnitPlan::Dsc { .. } | UnitPlan::DwOnly { .. } | UnitPlan::Conv { .. } => None,
-    }
-}
-
-/// Compresses one planned unit (pure function of the plan and config),
-/// sharing `M`-invariant units across calls when
-/// [`CompressionConfig::reuse_units`] is set.
+/// Compresses one planned unit (pure function of the plan and config).
 fn compress_unit(
-    unit: &UnitPlan,
-    cfg: &CompressionConfig,
-) -> Result<CompressedLayer, EscalateError> {
-    let key = cfg.reuse_units.then(|| m_invariant_unit_key(unit, cfg));
-    let Some(key) = key.flatten() else {
-        return compress_unit_fresh(unit, cfg);
-    };
-    let look = reuse_caches()
-        .units
-        .get_or_compute(key, || compress_unit_fresh(unit, cfg).map(Arc::new))?;
-    escalate_obs::counter_add(
-        if look.hit {
-            "pipeline.unit_hits"
-        } else {
-            "pipeline.unit_misses"
-        },
-        1,
-    );
-    if look.evicted > 0 {
-        escalate_obs::counter_add("pipeline.unit_evictions", look.evicted);
-    }
-    Ok((*look.value).clone())
-}
-
-/// The uncached body of [`compress_unit`].
-fn compress_unit_fresh(
     unit: &UnitPlan,
     cfg: &CompressionConfig,
 ) -> Result<CompressedLayer, EscalateError> {
@@ -793,37 +746,38 @@ mod tests {
     }
 
     #[test]
-    fn m_invariant_units_are_shared_across_m_bit_identically() {
-        let layer = LayerShape::conv("pw-reuse-test", 24, 32, 8, 8, 1, 1, 0);
-        let unit = UnitPlan::Pointwise {
-            layer,
-            seed: 0xfeed_2100,
-            target: 0.8,
-        };
-        let at = |m: usize, reuse: bool| CompressionConfig {
+    fn dense_and_pointwise_units_are_m_invariant() {
+        let at = |m: usize| CompressionConfig {
             m,
-            reuse_units: reuse,
             ..CompressionConfig::default()
         };
-        // A pointwise unit never consults M, so design points that differ
-        // only in M share one artifact — and it matches a cold build
-        // field-for-field (f32/f64 debug formatting round-trips, so equal
-        // strings mean equal bits).
-        let cold = compress_unit(&unit, &at(4, true)).unwrap();
-        let warm = compress_unit(&unit, &at(7, true)).unwrap();
-        let fresh = compress_unit(&unit, &at(7, false)).unwrap();
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-        assert_eq!(format!("{warm:?}"), format!("{fresh:?}"));
-        // A conv unit is M-dependent: never unit-cached (the bench
-        // layer's per-(model, M) artifact cache covers exact repeats).
+        // Dense and pointwise units never consult M: compressing one at
+        // M = 4 and M = 8 yields the same artifact field-for-field (f32/f64
+        // debug formatting round-trips, so equal strings mean equal bits).
+        let units = [
+            UnitPlan::Dense {
+                layer: small_layer(),
+                seed: 0xfeed_2100,
+            },
+            UnitPlan::Pointwise {
+                layer: LayerShape::conv("pw-m-test", 24, 32, 8, 8, 1, 1, 0),
+                seed: 0xfeed_2101,
+                target: 0.8,
+            },
+        ];
+        for unit in &units {
+            let m4 = compress_unit(unit, &at(4)).unwrap();
+            let m8 = compress_unit(unit, &at(8)).unwrap();
+            assert_eq!(format!("{m4:?}"), format!("{m8:?}"), "{unit:?}");
+        }
+        // A conv unit is M-dependent.
         let conv = UnitPlan::Conv {
             layer: small_layer(),
-            seed: 0xfeed_2101,
+            seed: 0xfeed_2102,
             target: 0.8,
         };
-        assert!(m_invariant_unit_key(&conv, &at(4, true)).is_none());
-        let m4 = compress_unit(&conv, &at(4, true)).unwrap();
-        let m6 = compress_unit(&conv, &at(6, true)).unwrap();
+        let m4 = compress_unit(&conv, &at(4)).unwrap();
+        let m6 = compress_unit(&conv, &at(6)).unwrap();
         assert_ne!(m4.stats.compressed_bits, m6.stats.compressed_bits);
     }
 

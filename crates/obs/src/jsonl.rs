@@ -8,9 +8,11 @@
 //! is still parseable. The dependency policy forbids external JSON
 //! crates, so records are written through [`crate::JsonWriter`] and read
 //! back with the targeted field scanners here ([`json_string_field`],
-//! [`json_f64_field`], [`json_u64_field`], [`json_bool_field`]) instead of
-//! a full parser: the only records this workspace scans are ones it wrote
-//! itself, with known top-level field names.
+//! [`json_f64_field`], [`json_u64_field`], [`json_bool_field`],
+//! [`json_raw_field`]) instead of a full parser. Each scanner reads a
+//! member of the first object in its text only — never a key inside a
+//! string or a nested value; a nested member is read by scanning the
+//! [`json_raw_field`] of its parent.
 
 use std::io::Write;
 use std::path::Path;
@@ -77,20 +79,102 @@ pub fn read_lines(path: &Path) -> std::io::Result<Vec<String>> {
     }
 }
 
-/// Locates the value of a top-level `"key": …` member in one JSON line,
-/// returning the byte offset of the value's first character.
+/// Locates the value of a `"key": …` member of the first object in
+/// `text`, returning the byte offset of the value's first character.
 ///
-/// The scan matches the quoted key literally, so a field name that also
-/// appears inside a string *value* earlier in the line could be matched
-/// instead — acceptable here because the scanners only read records this
-/// workspace wrote, whose schemas put keys first and never embed them in
-/// values.
-fn value_start(line: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let skip = rest.len() - rest.trim_start().len();
-    Some(at + skip)
+/// The scan walks that object member by member: string contents are
+/// skipped (escapes honoured) and nested objects/arrays are skipped whole
+/// by `{`/`[` depth, so a key inside a string or a nested value never
+/// matches. Whitespace is accepted around the `:`. Keys compare by their
+/// raw (escaped) text, and the first matching member wins. `None` when
+/// the key is absent or the object is malformed or truncated before it.
+fn value_start(text: &str, key: &str) -> Option<usize> {
+    let b = text.as_bytes();
+    let mut i = text.find('{')? + 1;
+    loop {
+        i = skip_ws(b, i);
+        if b.get(i) != Some(&b'"') {
+            return None; // `}` (key absent) or malformed
+        }
+        let key_end = skip_string(b, i)?;
+        let name = &text[i + 1..key_end - 1];
+        i = skip_ws(b, key_end);
+        if b.get(i) != Some(&b':') {
+            return None;
+        }
+        i = skip_ws(b, i + 1);
+        if name == key {
+            return Some(i);
+        }
+        i = skip_ws(b, skip_value(b, i)?);
+        if b.get(i) != Some(&b',') {
+            return None;
+        }
+        i += 1;
+    }
+}
+
+/// The first index at or after `i` that is not JSON whitespace.
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while b
+        .get(i)
+        .is_some_and(|&c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
+    {
+        i += 1;
+    }
+    i
+}
+
+/// The index just past the string whose opening quote is at `i`; `None`
+/// when it is unterminated.
+fn skip_string(b: &[u8], mut i: usize) -> Option<usize> {
+    i += 1;
+    loop {
+        match *b.get(i)? {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 2,
+            _ => i += 1,
+        }
+    }
+}
+
+/// The index just past the value starting at `i`: a string, a whole
+/// object or array (tracked by depth, strings skipped), or a scalar
+/// token, which must be followed by a delimiter. `None` when the text
+/// ends first.
+fn skip_value(b: &[u8], mut i: usize) -> Option<usize> {
+    match *b.get(i)? {
+        b'"' => skip_string(b, i),
+        b'{' | b'[' => {
+            let mut depth = 0usize;
+            loop {
+                match *b.get(i)? {
+                    b'"' => {
+                        i = skip_string(b, i)?;
+                        continue;
+                    }
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(i + 1);
+                        }
+                    }
+                    _ => {}
+                }
+                i += 1;
+            }
+        }
+        _ => {
+            while !matches!(
+                *b.get(i)?,
+                b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r'
+            ) {
+                i += 1;
+            }
+            Some(i)
+        }
+    }
 }
 
 /// Extracts a string field from one JSONL record, un-escaping the JSON
@@ -125,30 +209,31 @@ pub fn json_string_field(line: &str, key: &str) -> Option<String> {
     None // unterminated string: a truncated (interrupted) record
 }
 
-/// The raw token of a numeric/boolean field (everything up to the next
-/// comma or closing brace).
-fn scalar_token<'l>(line: &'l str, key: &str) -> Option<&'l str> {
+/// The raw text of a field's value, whatever its type: a scalar token,
+/// a quoted string, or a whole nested object or array — which the field
+/// scanners can then read in turn (`json_u64_field(json_raw_field(frame,
+/// "registry")?, …)`). `None` when the field is missing or its value is
+/// truncated.
+pub fn json_raw_field<'l>(line: &'l str, key: &str) -> Option<&'l str> {
     let start = value_start(line, key)?;
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    let token = rest[..end].trim();
-    (!token.is_empty()).then_some(token)
+    let end = skip_value(line.as_bytes(), start)?;
+    (end > start).then(|| &line[start..end])
 }
 
 /// Extracts a float field from one JSONL record (`null` — the encoding of
 /// non-finite floats — and malformed numbers return `None`).
 pub fn json_f64_field(line: &str, key: &str) -> Option<f64> {
-    scalar_token(line, key)?.parse().ok()
+    json_raw_field(line, key)?.parse().ok()
 }
 
 /// Extracts an unsigned-integer field from one JSONL record.
 pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    scalar_token(line, key)?.parse().ok()
+    json_raw_field(line, key)?.parse().ok()
 }
 
 /// Extracts a boolean field (`true`/`false`) from one JSONL record.
 pub fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    match scalar_token(line, key)? {
+    match json_raw_field(line, key)? {
         "true" => Some(true),
         "false" => Some(false),
         _ => None,
@@ -221,6 +306,76 @@ mod tests {
         assert_eq!(json_bool_field("{\"a\": \"true\"}", "a"), None);
         assert_eq!(json_bool_field("{\"a\": 1}", "a"), None);
         assert_eq!(json_bool_field("{\"a\": trueish}", "a"), None);
+    }
+
+    #[test]
+    fn scanners_match_members_of_the_first_object_only() {
+        // Whitespace before the colon is still a member.
+        assert_eq!(
+            json_string_field("{\"verb\" : \"ping\"}", "verb").as_deref(),
+            Some("ping")
+        );
+        // A nested key never shadows the top-level member, wherever it
+        // sits, and a nested-only key is absent.
+        let line = "{\"x\": {\"verb\": \"shutdown\", \"y\": [1, {\"z\": 2}]}, \"verb\": \"ping\"}";
+        assert_eq!(json_string_field(line, "verb").as_deref(), Some("ping"));
+        assert!(!json_has_field(line, "z"));
+        assert!(!json_has_field("{\"a\": [{\"b\": 1}]}", "b"));
+        // A key-like run inside a string value (escaped quotes included)
+        // is string content, not a member.
+        let line = "{\"s\": \"\\\"verb\\\": 1, {\", \"verb\": 2}";
+        assert_eq!(json_u64_field(line, "verb"), Some(2));
+        assert_eq!(json_u64_field("{\"s\": \"\\\"n\\\": 1\"}", "n"), None);
+        // The first of duplicate members wins.
+        assert_eq!(json_u64_field("{\"n\": 1, \"n\": 2}", "n"), Some(1));
+    }
+
+    #[test]
+    fn scanners_read_the_first_object_of_a_fragment() {
+        // A span body cut out of a registry snapshot: the scan starts at
+        // the first `{`, whatever precedes it.
+        let fragment = "\": {\"count\": 3, \"total_ms\": 1.5, \"max_ms\": 0.9}";
+        assert_eq!(json_f64_field(fragment, "total_ms"), Some(1.5));
+        assert_eq!(json_u64_field(fragment, "count"), Some(3));
+    }
+
+    #[test]
+    fn raw_field_reads_nested_members() {
+        let frame =
+            "{\"type\": \"metrics\", \"registry\": {\"counters\": {\"a.b\": 7}, \"spans\": {}}}";
+        let registry = json_raw_field(frame, "registry").expect("registry");
+        assert_eq!(registry, "{\"counters\": {\"a.b\": 7}, \"spans\": {}}");
+        let counters = json_raw_field(registry, "counters").expect("counters");
+        assert_eq!(json_u64_field(counters, "a.b"), Some(7));
+        assert_eq!(json_u64_field(frame, "a.b"), None, "nested, not top-level");
+        assert_eq!(json_raw_field(frame, "type"), Some("\"metrics\""));
+    }
+
+    #[test]
+    fn truncated_members_yield_none() {
+        // A scalar cut off by the end of the text may be a prefix of a
+        // longer number; a member after a truncated value is unreachable.
+        assert_eq!(json_u64_field("{\"n\": 12", "n"), None);
+        assert_eq!(json_u64_field("{\"x\": {\"y\": 1, \"n\": 2", "n"), None);
+        assert_eq!(json_u64_field("{\"x\": \"abc, \"n\": 2", "n"), None);
+    }
+
+    #[test]
+    fn every_prefix_of_a_frame_scans_without_panicking() {
+        // Request frames are untrusted: a cut anywhere — inside a
+        // multi-byte character, an escape or a nested value — must read
+        // as absent or malformed, never panic.
+        let line = "{\"x\": {\"é\\\"\": [1, \"]}\"]}, \"verb\" : \"pïng\", \"n\": 12}";
+        for end in (0..=line.len()).filter(|&e| line.is_char_boundary(e)) {
+            let cut = &line[..end];
+            for key in ["x", "verb", "n", "é"] {
+                let _ = json_string_field(cut, key);
+                let _ = json_u64_field(cut, key);
+                let _ = json_raw_field(cut, key);
+            }
+        }
+        assert_eq!(json_string_field(line, "verb").as_deref(), Some("pïng"));
+        assert_eq!(json_u64_field(line, "n"), Some(12));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use escalate_bench::{render, run_model, ACCELERATOR_NAMES};
 use escalate_models::ModelProfile;
-use escalate_obs::jsonl::{json_f64_field, json_string_field};
+use escalate_obs::jsonl::{json_f64_field, json_raw_field, json_string_field};
 use escalate_serve::{start, submit, Request, ServeOptions};
 use escalate_sim::SimConfig;
 
@@ -61,7 +61,8 @@ fn served_simulate_is_bit_identical_to_the_one_shot_cli() {
         &expected_run.sparten,
         &expected_run.escalate,
     ];
-    for (unit, run) in units.iter().zip(runs) {
+    for (frame, run) in units.iter().zip(runs) {
+        let unit = json_raw_field(frame, "record").expect("record");
         assert_eq!(
             json_string_field(unit, "name").as_deref(),
             Some(run.name.as_str()),

@@ -5,7 +5,7 @@
 //! Server lifecycles share the process-global metrics slot, so every
 //! test that starts a daemon holds [`SERVER_LOCK`].
 
-use escalate_obs::jsonl::{json_string_field, json_u64_field};
+use escalate_obs::jsonl::{json_raw_field, json_string_field, json_u64_field};
 use escalate_serve::proto::{parse_request, read_frame, write_frame, MAX_FRAME};
 use escalate_serve::{start, submit, Request, ServeOptions};
 use std::io::BufReader;
@@ -23,6 +23,12 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 fn frame_type(frame: &str) -> String {
     json_string_field(frame, "type").unwrap_or_default()
+}
+
+/// A counter of a `metrics` frame (nested under `registry.counters`).
+fn counter(metrics: &str, name: &str) -> Option<u64> {
+    let registry = json_raw_field(metrics, "registry")?;
+    json_u64_field(json_raw_field(registry, "counters")?, name)
 }
 
 /// A raw connection speaking arbitrary bytes (the well-behaved path is
@@ -55,12 +61,12 @@ fn shutdown(port: u16) -> u64 {
     json_u64_field(last, "jobs_done").expect("jobs_done")
 }
 
-/// Polls the daemon's metrics until `counter` reaches `at_least`.
-fn wait_for_counter(port: u16, counter: &str, at_least: u64) -> u64 {
+/// Polls the daemon's metrics until counter `name` reaches `at_least`.
+fn wait_for_counter(port: u16, name: &str, at_least: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let frames = submit(port, &Request::Metrics).expect("metrics");
-        let v = json_u64_field(frames.last().expect("metrics frame"), counter).unwrap_or(0);
+        let v = counter(frames.last().expect("metrics frame"), name).unwrap_or(0);
         if v >= at_least || Instant::now() > deadline {
             return v;
         }
@@ -104,6 +110,36 @@ fn present_but_malformed_fields_are_errors_naming_the_field() {
         let e = parse_request(&line).expect_err(&line);
         assert!(e.contains(&format!("\"{name}\"")), "{line}: {e}");
     }
+}
+
+/// Sends one raw request line to a fresh daemon and requires a `pong`
+/// back, then a daemon that still serves new connections.
+fn assert_raw_ping_gets_pong(line: &str) {
+    let _guard = lock();
+    let handle = start(ServeOptions::default()).expect("start");
+    let port = handle.port();
+
+    let mut conn = Raw::connect(port);
+    conn.send(line);
+    let reply = conn.recv().expect("reply");
+    assert_eq!(frame_type(&reply), "pong", "{line} -> {reply}");
+    drop(conn);
+    let frames = submit(port, &Request::Ping).expect("daemon still up");
+    assert_eq!(frame_type(frames.last().unwrap()), "pong");
+
+    shutdown(port);
+    handle.join().expect("clean exit");
+}
+
+#[test]
+fn a_verb_with_whitespace_before_the_colon_is_read() {
+    assert_raw_ping_gets_pong("{\"verb\" : \"ping\"}");
+}
+
+#[test]
+fn a_nested_verb_never_shadows_the_top_level_one() {
+    // The nested "shutdown" is a member of "x", not of the request.
+    assert_raw_ping_gets_pong("{\"x\": {\"verb\": \"shutdown\"}, \"verb\": \"ping\"}");
 }
 
 #[test]
@@ -255,9 +291,9 @@ fn identical_in_flight_jobs_share_one_artifact_computation() {
 
     let frames = submit(port, &Request::Metrics).expect("metrics");
     let metrics = frames.last().expect("metrics frame").clone();
-    let misses = json_u64_field(&metrics, "bench.cache_misses").unwrap_or(0);
-    let hits = json_u64_field(&metrics, "bench.cache_hits").unwrap_or(0);
-    let coalesced = json_u64_field(&metrics, "serve.jobs_coalesced").unwrap_or(0);
+    let misses = counter(&metrics, "bench.cache_misses").unwrap_or(0);
+    let hits = counter(&metrics, "bench.cache_hits").unwrap_or(0);
+    let coalesced = counter(&metrics, "serve.jobs_coalesced").unwrap_or(0);
     assert_eq!(
         misses, 1,
         "one computation for two identical jobs: {metrics}"
@@ -353,17 +389,17 @@ fn identical_queued_submissions_coalesce_into_one_execution() {
     let frames = submit(port, &Request::Metrics).expect("metrics");
     let metrics = frames.last().expect("metrics frame").clone();
     assert_eq!(
-        json_u64_field(&metrics, "serve.jobs_executed"),
+        counter(&metrics, "serve.jobs_executed"),
         Some(2),
         "occupier + one coalesced batch: {metrics}"
     );
     assert_eq!(
-        json_u64_field(&metrics, "serve.jobs_coalesced"),
+        counter(&metrics, "serve.jobs_coalesced"),
         Some(2),
         "two riders on the batch: {metrics}"
     );
     assert_eq!(
-        json_u64_field(&metrics, "serve.jobs_done"),
+        counter(&metrics, "serve.jobs_done"),
         Some(4),
         "every submission completed: {metrics}"
     );

@@ -15,8 +15,8 @@
 //!   the full [`dilute_into`] + [`ConcentrationBuffer`] machinery for
 //!   every (basis, word) pair — the reference model, kept for
 //!   differential testing;
-//! - [`PositionKernel`] is the batched word-parallel production path: a
-//!   compiled [`LayerPlan`] holds every per-channel invariant (coefficient
+//! - [`PositionKernel`] is the batched word-parallel production path:
+//!   [`PositionKernel::bind`] derives one channel's invariants (coefficient
 //!   copies, union masks, per-basis nonzero-word skip tables),
 //!   [`PositionKernel::cost_batch`] evaluates up to [`MAX_BATCH`]
 //!   positions per pass over the bound coefficient words, concentration
@@ -217,110 +217,6 @@ pub fn position_cost_scalar(
     }
 }
 
-/// A compiled per-(layer, config) table of everything the position walk
-/// would otherwise re-derive per channel: flat copies of the `M`
-/// coefficient masks for every sampled channel, their per-word unions
-/// (the chunk-skip filter), and per-basis skip tables listing the words
-/// whose coefficient mask is nonzero — the only words a basis can match
-/// in, so the batch loop walks those and charges everything between them
-/// as coalesced hole runs.
-///
-/// A plan is built once by [`LayerPlan::build`] and installed into a
-/// [`PositionKernel`] ([`PositionKernel::install_plan`]); `run_positions`
-/// caches it through the thread-local kernel cache and reuses it across
-/// seeds and fidelities of the same layer. Reuse is gated by
-/// [`LayerPlan::matches`], which compares the stored mask words for full
-/// equality — never a hash — so a stale plan can never change results.
-#[derive(Debug, Clone)]
-pub struct LayerPlan {
-    c: usize,
-    words: usize,
-    m: usize,
-    /// Sampled channel ids, in walk order (the reuse identity).
-    channels: Vec<usize>,
-    /// `channels × m × words` coefficient mask copies, flat.
-    coef: Vec<u64>,
-    /// `channels × words` per-word unions over the `m` masks, flat.
-    union_mask: Vec<u64>,
-    /// Concatenated per-(channel, basis) lists of nonzero-word indices.
-    nz_words: Vec<u32>,
-    /// `channels × m + 1` offsets into [`LayerPlan::nz_words`].
-    nz_index: Vec<u32>,
-}
-
-impl LayerPlan {
-    /// Compiles the plan for `channels` of a layer with `c` input channels
-    /// and `m` bases; `mask(k, mi)` returns basis `mi` of channel `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask's word count disagrees with `c`.
-    pub fn build<'m>(
-        c: usize,
-        m: usize,
-        channels: &[usize],
-        mask: impl Fn(usize, usize) -> &'m [u64],
-    ) -> LayerPlan {
-        let words = c.div_ceil(64);
-        let mut plan = LayerPlan {
-            c,
-            words,
-            m,
-            channels: channels.to_vec(),
-            coef: Vec::with_capacity(channels.len() * m * words),
-            union_mask: vec![0u64; channels.len() * words],
-            nz_words: Vec::new(),
-            nz_index: Vec::with_capacity(channels.len() * m + 1),
-        };
-        plan.nz_index.push(0);
-        for (ci, &k) in channels.iter().enumerate() {
-            let union = &mut plan.union_mask[ci * words..(ci + 1) * words];
-            for mi in 0..m {
-                let cm = mask(k, mi);
-                assert_eq!(cm.len(), words, "coefficient mask word count");
-                or_words(union, cm);
-                for (wi, &w) in cm.iter().enumerate() {
-                    if w != 0 {
-                        plan.nz_words.push(wi as u32);
-                    }
-                }
-                plan.nz_index.push(plan.nz_words.len() as u32);
-                plan.coef.extend_from_slice(cm);
-            }
-        }
-        plan
-    }
-
-    /// Whether this plan was compiled from exactly these inputs: same
-    /// geometry, same channel sample, and word-for-word identical masks.
-    pub fn matches<'m>(
-        &self,
-        c: usize,
-        m: usize,
-        channels: &[usize],
-        mask: impl Fn(usize, usize) -> &'m [u64],
-    ) -> bool {
-        if self.c != c || self.m != m || self.channels != channels {
-            return false;
-        }
-        let words = self.words;
-        for (ci, &k) in channels.iter().enumerate() {
-            for mi in 0..m {
-                let stored = &self.coef[(ci * m + mi) * words..(ci * m + mi + 1) * words];
-                if stored != mask(k, mi) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The channel ids this plan was compiled for, in walk order.
-    pub fn channels(&self) -> &[usize] {
-        &self.channels
-    }
-}
-
 /// Per-word OR fold.
 fn or_words(dst: &mut [u64], src: &[u64]) {
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -396,21 +292,18 @@ impl DrainBuf {
 /// implementation of the Dilution-Concentration cycle model,
 /// result-identical to [`position_cost_scalar`].
 ///
-/// A kernel is built once per config ([`PositionKernel::new`]) and fed a
-/// compiled [`LayerPlan`] ([`PositionKernel::install_plan`]); per channel
-/// the walk calls [`PositionKernel::bind_planned`] (or the ad-hoc
-/// [`PositionKernel::bind`], which compiles a one-channel plan on the
-/// spot) and then [`PositionKernel::cost_batch`] over the positions. The
-/// fast-path layers, from the outside in:
+/// A kernel is built once per config ([`PositionKernel::new`]); per
+/// channel the walk calls [`PositionKernel::bind`], which copies the
+/// channel's coefficient masks and derives their per-word union and
+/// per-basis nonzero-word skip tables, and then
+/// [`PositionKernel::cost_batch`] over the positions. The fast-path
+/// layers, from the outside in:
 ///
-/// 1. **Compiled plans** — coefficient copies, per-word unions, and
-///    per-basis nonzero-word skip tables come precomputed from the
-///    [`LayerPlan`], so binding a channel is a few memcpys;
-/// 2. **Position batching** — up to [`MAX_BATCH`] positions per
+/// 1. **Position batching** — up to [`MAX_BATCH`] positions per
 ///    [`PositionKernel::cost_batch`] call share one pass over the bound
 ///    coefficient words (basis-major loop) and one activation
 ///    popcount-prefix table;
-/// 3. **Word-parallel arithmetic** — chunk-skipping is rank arithmetic
+/// 2. **Word-parallel arithmetic** — chunk-skipping is rank arithmetic
 ///    over `act ∩ union`, `matched` is popcount over the skip-table
 ///    words, dilution filters are one rank popcount per survivor, hole
 ///    runs between matchable words coalesce into single `push_holes`
@@ -422,7 +315,7 @@ pub struct PositionKernel {
     bus: usize,
     look_ahead: usize,
     look_aside: usize,
-    /// Bound-channel geometry (mirrors the plan entry or the ad-hoc bind).
+    /// Bound-channel geometry.
     c: usize,
     words: usize,
     m: usize,
@@ -434,9 +327,6 @@ pub struct PositionKernel {
     nz_words: Vec<u32>,
     /// `m + 1` offsets into [`PositionKernel::nz_words`].
     nz_index: Vec<u32>,
-    /// Installed layer plan, if any — shared when it came from the
-    /// derived-state cache ([`crate::shared`]).
-    plan: Option<std::sync::Arc<LayerPlan>>,
     /// Concentration drain model (bitmask rows for bus ≤ 64).
     conc: DrainBuf,
     /// Batch scratch: per-position activation popcount prefix sums,
@@ -446,8 +336,7 @@ pub struct PositionKernel {
 
 impl PositionKernel {
     /// Creates an unbound kernel for simulations under `cfg`. Call
-    /// [`PositionKernel::bind`] or [`PositionKernel::bind_planned`] before
-    /// [`PositionKernel::cost`].
+    /// [`PositionKernel::bind`] before [`PositionKernel::cost`].
     pub fn new(cfg: &SimConfig) -> PositionKernel {
         let bus = cfg.bus_elems().max(1);
         PositionKernel {
@@ -461,7 +350,6 @@ impl PositionKernel {
             union_mask: Vec::new(),
             nz_words: Vec::new(),
             nz_index: Vec::new(),
-            plan: None,
             conc: DrainBuf::new(bus, cfg.look_ahead, cfg.look_aside),
             pref: Vec::new(),
         }
@@ -476,63 +364,9 @@ impl PositionKernel {
             && self.look_aside == cfg.look_aside
     }
 
-    /// Installs a compiled [`LayerPlan`]; [`PositionKernel::bind_planned`]
-    /// then binds its channels by index. Replaces any previous plan and
-    /// invalidates the current bind.
-    pub fn install_plan(&mut self, plan: LayerPlan) {
-        self.install_shared_plan(std::sync::Arc::new(plan));
-    }
-
-    /// [`PositionKernel::install_plan`] for a plan shared with other
-    /// kernels (the derived-state cache hands these out); binding only
-    /// reads the plan, so sharing cannot change results.
-    pub fn install_shared_plan(&mut self, plan: std::sync::Arc<LayerPlan>) {
-        self.c = 0;
-        self.words = 0;
-        self.m = 0;
-        self.plan = Some(plan);
-    }
-
-    /// The installed plan, if any — callers probe it with
-    /// [`LayerPlan::matches`] to decide between reuse and recompile.
-    pub fn plan(&self) -> Option<&LayerPlan> {
-        self.plan.as_deref()
-    }
-
-    /// Binds channel `idx` of the installed plan: copies its precompiled
-    /// coefficient words, union, and skip tables into the bind slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no plan is installed or `idx` is out of range.
-    pub fn bind_planned(&mut self, idx: usize) {
-        let plan = self.plan.as_ref().expect("no layer plan installed");
-        assert!(idx < plan.channels.len(), "plan channel index out of range");
-        let (words, m) = (plan.words, plan.m);
-        self.c = plan.c;
-        self.words = words;
-        self.m = m;
-        self.coef.clear();
-        self.coef
-            .extend_from_slice(&plan.coef[idx * m * words..(idx + 1) * m * words]);
-        self.union_mask.clear();
-        self.union_mask
-            .extend_from_slice(&plan.union_mask[idx * words..(idx + 1) * words]);
-        let lo = plan.nz_index[idx * m] as usize;
-        let hi = plan.nz_index[(idx + 1) * m] as usize;
-        self.nz_words.clear();
-        self.nz_words.extend_from_slice(&plan.nz_words[lo..hi]);
-        self.nz_index.clear();
-        self.nz_index.extend(
-            plan.nz_index[idx * m..=(idx + 1) * m]
-                .iter()
-                .map(|&o| o - lo as u32),
-        );
-    }
-
-    /// Binds the kernel to one (layer, channel) without a plan: compiles
-    /// the union and skip tables for these masks on the spot. Equivalent
-    /// to installing a one-channel [`LayerPlan`] and binding it.
+    /// Binds the kernel to one (layer, channel): copies the coefficient
+    /// masks and derives their per-word union and per-basis skip tables,
+    /// replacing every table of the previous bind.
     ///
     /// # Panics
     ///
@@ -761,9 +595,8 @@ mod tests {
         SimConfig::default()
     }
 
-    /// Runs the same inputs through the scalar path, the kernel bound
-    /// ad hoc (twice — it is stateless), and the kernel bound through a
-    /// one-channel [`LayerPlan`], and requires all answers equal. Returns
+    /// Runs the same inputs through the scalar path and the bound kernel
+    /// (twice — it is stateless), and requires all answers equal. Returns
     /// the agreed cost.
     fn cost_all_paths(
         cfg: &SimConfig,
@@ -776,10 +609,6 @@ mod tests {
         kernel.bind(c, coef_masks.iter().copied());
         assert_eq!(kernel.cost(act), scalar, "word-parallel kernel");
         assert_eq!(kernel.cost(act), scalar, "repeat call (stateless)");
-        let plan = LayerPlan::build(c, coef_masks.len(), &[0], |_, mi| coef_masks[mi]);
-        kernel.install_plan(plan);
-        kernel.bind_planned(0);
-        assert_eq!(kernel.cost(act), scalar, "planned bind");
         scalar
     }
 
@@ -906,44 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_binds_match_ad_hoc_binds() {
-        let cfg = cfg();
-        let masks: Vec<Vec<Vec<u64>>> = (0..3)
-            .map(|k| {
-                (0..2)
-                    .map(|mi| vec![(0x9E37_79B9u64 << k).rotate_left(mi * 13 + k), 0x0FFF >> k])
-                    .collect()
-            })
-            .collect();
-        let channels = [2usize, 0, 1];
-        let plan = LayerPlan::build(100, 2, &channels, |k, mi| &masks[k][mi]);
-        assert_eq!(plan.channels(), &channels);
-        assert!(plan.matches(100, 2, &channels, |k, mi| &masks[k][mi]));
-        assert!(!plan.matches(100, 2, &[0, 1, 2], |k, mi| &masks[k][mi]));
-
-        let act = [0xFFFF_0000_FFFF_0000u64, 0x0ABC];
-        let mut planned = PositionKernel::new(&cfg);
-        planned.install_plan(plan);
-        let mut adhoc = PositionKernel::new(&cfg);
-        for (idx, &k) in channels.iter().enumerate() {
-            planned.bind_planned(idx);
-            adhoc.bind(100, masks[k].iter().map(Vec::as_slice));
-            assert_eq!(planned.cost(&act), adhoc.cost(&act), "channel {k}");
-        }
-    }
-
-    #[test]
-    fn plan_matches_rejects_changed_masks() {
-        let base = [vec![0xFFu64], vec![0x0Fu64]];
-        let plan = LayerPlan::build(64, 2, &[0], |_, mi| &base[mi]);
-        assert!(plan.matches(64, 2, &[0], |_, mi| &base[mi]));
-        let tweaked = [vec![0xFFu64], vec![0x1Fu64]];
-        assert!(!plan.matches(64, 2, &[0], |_, mi| &tweaked[mi]));
-        assert!(!plan.matches(64, 1, &[0], |_, mi| &base[mi]));
-        assert!(!plan.matches(128, 2, &[0], |_, mi| &base[mi]));
-    }
-
-    #[test]
     #[should_panic(expected = "mask word count")]
     fn word_count_mismatch_panics() {
         let act = [0u64; 2];
@@ -958,12 +749,5 @@ mod tests {
         let coef = [u64::MAX];
         kernel.bind(40, [&coef[..]]);
         let _ = kernel.cost(&[1u64 << 45]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no layer plan installed")]
-    fn bind_planned_without_plan_panics() {
-        let mut kernel = PositionKernel::new(&cfg());
-        kernel.bind_planned(0);
     }
 }

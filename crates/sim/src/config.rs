@@ -110,11 +110,11 @@ pub struct SimConfig {
     pub threads: usize,
     /// Opt-in to the process-wide derived-state cache ([`crate::shared`]):
     /// hardware-invariant per-layer artifacts — materialized Bernoulli
-    /// activation masks and compiled [`crate::ca::LayerPlan`]s — are
+    /// activation masks and folded channel × position walk sums — are
     /// shared across runs keyed by everything that determines them.
     /// Results are bit-identical either way (cached masks replay the
-    /// exact RNG stream; cached plans are verified word-for-word before
-    /// reuse); sharing only changes speed. Design-space sweeps enable it;
+    /// exact RNG stream; a cached walk is keyed by every input its sums
+    /// read); sharing only changes speed. Design-space sweeps enable it;
     /// the default is off. This knob configures the host simulator, not
     /// the modeled hardware.
     pub share_derived: bool,

@@ -21,7 +21,7 @@
 //!   events flow to instrumentation without touching the hot path's
 //!   structure.
 
-use crate::ca::{LayerPlan, PositionCost, PositionKernel, MAX_BATCH};
+use crate::ca::{PositionCost, PositionKernel, MAX_BATCH};
 use crate::config::SimConfig;
 use crate::dataflow::Mapping;
 use crate::error::SimError;
@@ -191,8 +191,8 @@ pub trait SimObserver {
     fn on_slice(&mut self, _ev: &SliceEvent) {}
 
     /// Called once per finished channel × position walk with the folded
-    /// aggregate — the hook through which kernel-level statistics (layer
-    /// plan compiles/reuses) reach instrumentation.
+    /// aggregate — the hook through which walk-level statistics (walks
+    /// executed vs served by the walk cache) reach instrumentation.
     fn on_walk(&mut self, _agg: &PositionAggregate) {}
 
     /// Called once per finished layer with the stats the simulation
@@ -235,11 +235,13 @@ pub struct PositionAggregate {
     pub sampled_channels: usize,
     /// Positions walked per channel.
     pub positions_per_channel: usize,
-    /// 1 when this walk compiled a fresh [`LayerPlan`], 0 when it reused
-    /// the kernel's installed plan.
+    /// 1 when the walk was executed (every sampled channel bound and
+    /// every position costed), 0 when it was served from the walk cache.
+    /// Counted as `ca.plan_compiles`.
     pub plan_compiles: u64,
-    /// 1 when this walk reused the kernel's installed [`LayerPlan`]
-    /// (verified word-for-word by [`LayerPlan::matches`]).
+    /// 1 when the walk was served from the walk cache
+    /// ([`crate::shared::cached_walk`]) instead of executed. Counted as
+    /// `ca.plan_reuses`.
     pub plan_reuses: u64,
 }
 
@@ -257,10 +259,9 @@ thread_local! {
 /// every fidelity that aggregates per-position costs drives.
 ///
 /// Uses a thread-local [`PositionKernel`] (rebuilt only when `cfg`'s
-/// kernel-relevant knobs change), which also caches the compiled
-/// [`LayerPlan`] — repeated walks of the same layer (seed sweeps,
-/// fidelity comparisons) reuse the plan instead of recompiling it;
-/// [`run_positions_with`] is the same walk against a caller-owned kernel.
+/// kernel-relevant knobs change) so its scratch buffers survive across
+/// walks; [`run_positions_with`] is the same walk against a caller-owned
+/// kernel.
 pub fn run_positions(
     ctx: &LayerContext,
     cfg: &SimConfig,
@@ -279,12 +280,10 @@ pub fn run_positions(
 }
 
 /// [`run_positions`] against a caller-owned [`PositionKernel`] (which must
-/// have been built from an equivalent config). Compiles a [`LayerPlan`]
-/// for the sampled channels — or reuses the kernel's installed plan when
-/// it matches word-for-word — and walks positions in batches of
-/// [`MAX_BATCH`]; the per-position fold order (and hence every f64
-/// accumulation feeding [`assemble_stats`]) is identical to a
-/// one-position-at-a-time walk.
+/// have been built from an equivalent config). Binds each sampled channel
+/// once and walks its positions in batches of [`MAX_BATCH`]; the
+/// per-position fold order (and hence every f64 accumulation feeding
+/// [`assemble_stats`]) is identical to a one-position-at-a-time walk.
 pub fn run_positions_with(
     ctx: &LayerContext,
     cfg: &SimConfig,
@@ -299,37 +298,13 @@ pub fn run_positions_with(
     let mut agg = PositionAggregate {
         sampled_channels: sampled_k.len(),
         positions_per_channel: sp,
+        plan_compiles: 1,
         ..PositionAggregate::default()
     };
-    let mask = |k: usize, mi: usize| ctx.masks.mask(k, mi);
-    if kernel
-        .plan()
-        .is_some_and(|p| p.matches(ctx.c, ctx.m, sampled_k, mask))
-    {
-        agg.plan_reuses = 1;
-    } else if cfg.share_derived {
-        // The derived-state cache verifies a candidate word-for-word
-        // (same gate as the local reuse above) before handing it out, so
-        // a hit is a true reuse; a miss built and published a fresh plan.
-        let (plan, hit) = crate::shared::cached_plan(ctx.c, ctx.m, sampled_k, mask);
-        kernel.install_shared_plan(plan);
-        if hit {
-            agg.plan_reuses = 1;
-        } else {
-            agg.plan_compiles = 1;
-        }
-    } else {
-        kernel.install_plan(LayerPlan::build(ctx.c, ctx.m, sampled_k, mask));
-        agg.plan_compiles = 1;
-    }
-    // The batch buffers are reused across every sampled channel; all
-    // channel-invariant work (coefficient copies, union masks, skip
-    // tables) was precomputed by the plan, so `bind_planned` is a few
-    // memcpys.
     let mut batch = vec![0u64; MAX_BATCH * ctx.words];
     let mut costs = [PositionCost::default(); MAX_BATCH];
-    for (idx, &k) in sampled_k.iter().enumerate() {
-        kernel.bind_planned(idx);
+    for &k in sampled_k {
+        kernel.bind(ctx.c, (0..ctx.m).map(|mi| ctx.masks.mask(k, mi)));
         let mut k_pos_cycles = 0.0f64;
         let mut p = 0usize;
         while p < sp {

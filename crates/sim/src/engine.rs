@@ -94,8 +94,8 @@ pub fn simulate_layer_observed(
 /// mapping-dependent output (`max_block_time`) is `max_mean_pos ×
 /// positions_per_slice` — multiplying every per-channel mean by the same
 /// positive slice size is monotone, so the max of the products is the
-/// product of the max. The walk counts as a plan reuse (the cached sums
-/// embody a previously compiled plan's output).
+/// product of the max. A hit counts as `ca.plan_reuses`, an executed walk
+/// as `ca.plan_compiles`.
 #[allow(clippy::too_many_arguments)]
 fn shared_walk(
     ctx: &LayerContext,
@@ -312,8 +312,8 @@ mod tests {
             simulate_layer(&lw, &shared, 3),
             simulate_layer(&lw, &shared, 3)
         );
-        // A different hardware point still shares masks and plans (both
-        // are hardware-invariant) without changing its own results.
+        // A different hardware point still shares masks (they are
+        // hardware-invariant) without changing its own results.
         let wide = SimConfig {
             input_bus_bytes: 64,
             n_pe: 8,

@@ -100,7 +100,7 @@ pub mod trace;
 pub mod workload;
 
 pub use accel::{schedule_for, Accelerator, Escalate, LayerPipelined, LayerSerial, Schedule};
-pub use ca::{LayerPlan, PositionCost, PositionKernel, MAX_BATCH};
+pub use ca::{PositionCost, PositionKernel, MAX_BATCH};
 pub use config::{DesignPoint, ScheduleKind, SimConfig};
 pub use context::{LayerContext, NoopObserver, SimObserver};
 pub use engine::{simulate_layer, simulate_model};

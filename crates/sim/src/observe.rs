@@ -31,8 +31,9 @@
 //!   front end stalled on full concentration buffers (buffer conflicts);
 //! - `sim.slices_stepped` — cycle-stepped (channel, slice) runs;
 //! - `ca.plan_compiles` / `ca.plan_reuses` — channel × position walks
-//!   that compiled a fresh kernel [`crate::ca::LayerPlan`] vs reused the
-//!   cached one (from per-walk aggregates).
+//!   executed (each sampled channel bound once) vs served from the walk
+//!   cache (from per-walk aggregates; stable names that `perfbench`'s
+//!   `sim.plan_reuse_rate` reads, see DESIGN.md §6).
 //!
 //! Histograms: `sim.position_ca_cycles` (CA cycles per walked position)
 //! and `sim.layer_cycles` (cycles per layer).

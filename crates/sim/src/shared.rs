@@ -1,28 +1,20 @@
 //! The cross-point derived-state cache behind [`SimConfig::share_derived`].
 //!
 //! A design-space sweep re-simulates the same `(network, M, input seed)`
-//! workloads under many hardware configurations. Two derived artifacts of
-//! a layer simulation are *hardware-invariant* — they depend only on the
-//! layer, the input seed, and host-fidelity knobs, never on bus widths,
-//! PE counts, or buffer sizes:
+//! workloads under many hardware configurations. The synthetic Bernoulli
+//! **activation masks** of a layer simulation are *hardware-invariant*:
+//! a pure function of `(layer seed, C, keep probability, sampled
+//! positions, masks drawn)` — the RNG stream is fixed by the seed, and the
+//! walk consumes exactly `sampled_channels × positions` masks in stream
+//! order — never of bus widths, PE counts, or buffer sizes.
 //!
-//! - the synthetic Bernoulli **activation masks**: a pure function of
-//!   `(layer seed, C, keep probability, sampled positions, masks drawn)` —
-//!   the RNG stream is fixed by the seed, and the walk consumes exactly
-//!   `sampled_channels × positions` masks in stream order;
-//! - the compiled [`LayerPlan`]: a pure function of
-//!   `(C, M, sampled channel ids, coefficient mask words)` — the sampled
-//!   channel *selection* depends on `cfg.sample_channels` (a host knob
-//!   that is part of the sweep grid), but given the selection the plan is
-//!   config-independent.
-//!
-//! A third cache goes one level higher: the **folded walk sums**
+//! A second cache goes one level higher: the **folded walk sums**
 //! ([`WalkSums`]). The per-channel sums a walk produces depend on the
-//! masks, the plan, the MAC-row geometry, and the CA cost model's three
-//! config knobs (bus elements, look-ahead, look-aside) — but *not* on
-//! the PE count or buffer sizes, so design points that differ only in
-//! those skip the walk entirely and reassemble the aggregate
-//! bit-for-bit (the one mapping-dependent output, `max_block_time`, is
+//! masks, the sampled channels' coefficient masks, the MAC-row geometry,
+//! and the CA cost model's three config knobs (bus elements, look-ahead,
+//! look-aside) — but *not* on the PE count or buffer sizes, so design
+//! points that differ only in those skip the walk entirely and reassemble
+//! the aggregate bit-for-bit (the one mapping-dependent output, `max_block_time`, is
 //! a monotone positive multiple of the cached `max_mean_pos`).
 //!
 //! Everything else — [`crate::context::LayerContext`]'s `parallel_k` and
@@ -31,17 +23,14 @@
 //!
 //! Opting in cannot change results: cached masks are regenerated from the
 //! very RNG stream the uncached path would draw (bit-identical by
-//! construction, keyed by everything that feeds the stream), and a cached
-//! plan is only reused after [`LayerPlan::matches`] verified it
-//! word-for-word against the requested masks — a fingerprint collision
-//! falls back to a fresh build, never a wrong reuse. All three caches are
+//! construction, keyed by everything that feeds the stream), and a walk
+//! is keyed by everything its sums read. Both caches are
 //! [`SingleFlightCache`]s: LRU-bounded, and concurrent misses on one key
 //! compute once. `sweep.derived_hits` / `sweep.derived_misses` count mask
 //! lookups and walk hits, `sweep.derived_evictions` counts evictions from
-//! all three; plan reuse flows through the existing `ca.plan_reuses` /
-//! `ca.plan_compiles` counters.
+//! both; `ca.plan_compiles` / `ca.plan_reuses` count walks executed vs
+//! served from the walk cache.
 
-use crate::ca::LayerPlan;
 use crate::config::SimConfig;
 use crate::context::PositionAggregate;
 use crate::masks::draw_act_mask_into;
@@ -62,11 +51,6 @@ pub const DEFAULT_DERIVED_CAP: usize = 512;
 /// pattern: `(layer seed, C, keep_prob bits, positions per channel,
 /// channels walked)`.
 type MaskKey = (u64, usize, u64, usize, usize);
-
-/// Plan lookup key: geometry plus an FNV-1a fingerprint of the channel
-/// ids and their coefficient mask words. The fingerprint narrows the
-/// candidate; [`LayerPlan::matches`] decides.
-type PlanKey = (usize, usize, u64);
 
 /// Identity of one sampled channel × position walk — everything the
 /// folded per-channel sums depend on, and nothing the mapping-dependent
@@ -110,7 +94,6 @@ pub struct WalkSums {
 
 struct DerivedCache {
     masks: SingleFlightCache<MaskKey, Arc<Vec<u64>>>,
-    plans: SingleFlightCache<PlanKey, Arc<LayerPlan>>,
     walks: SingleFlightCache<WalkKey, WalkSums>,
 }
 
@@ -118,7 +101,6 @@ fn derived_cache() -> &'static DerivedCache {
     static CACHE: OnceLock<DerivedCache> = OnceLock::new();
     CACHE.get_or_init(|| DerivedCache {
         masks: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
-        plans: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
         walks: SingleFlightCache::new(DEFAULT_DERIVED_CAP),
     })
 }
@@ -129,14 +111,13 @@ fn derived_cache() -> &'static DerivedCache {
 pub fn set_derived_cache_capacity(capacity: usize) {
     let cache = derived_cache();
     cache.masks.set_capacity(capacity);
-    cache.plans.set_capacity(capacity);
     cache.walks.set_capacity(capacity);
 }
 
 /// Total evictions the derived caches have performed since process start.
 pub fn derived_cache_evictions() -> u64 {
     let cache = derived_cache();
-    cache.masks.evictions() + cache.plans.evictions() + cache.walks.evictions()
+    cache.masks.evictions() + cache.walks.evictions()
 }
 
 /// Adds a lookup's evictions to `sweep.derived_evictions`.
@@ -216,29 +197,6 @@ fn mask_fingerprint<'m>(
     fp
 }
 
-/// The shared compiled [`LayerPlan`] for `(c, m, channels, masks)`,
-/// building and caching it on a miss. Returns the plan and whether the
-/// lookup hit. A hit is only reported after [`LayerPlan::matches`]
-/// verified the stored plan word-for-word against the requested masks; a
-/// fingerprint collision builds a fresh plan and leaves the cached one in
-/// place.
-pub fn cached_plan<'m>(
-    c: usize,
-    m: usize,
-    channels: &[usize],
-    mask: impl Fn(usize, usize) -> &'m [u64],
-) -> (Arc<LayerPlan>, bool) {
-    let key = (c, m, mask_fingerprint(FNV_OFFSET, m, channels, &mask));
-    let Ok(look) = derived_cache().plans.get_or_compute(key, || {
-        Ok::<_, Infallible>(Arc::new(LayerPlan::build(c, m, channels, &mask)))
-    });
-    count_evictions(look.evicted);
-    if look.hit && !look.value.matches(c, m, channels, &mask) {
-        return (Arc::new(LayerPlan::build(c, m, channels, &mask)), false);
-    }
-    (look.value, look.hit)
-}
-
 /// Builds the [`WalkKey`] for a walk of `channels × positions` against
 /// this layer's masks under `cfg`'s CA cost model. Everything the folded
 /// sums read is captured: the coefficient masks and sampled channel ids
@@ -276,7 +234,7 @@ pub fn walk_key<'m>(
 /// point already performed it, else produced by `walk` (once across
 /// concurrent callers) and published for later points. Returns the sums
 /// and, when this call ran `walk`, its full aggregate. A hit counts as a
-/// derived hit *and* a walk hit: it skips the mask/plan lookups entirely.
+/// derived hit *and* a walk hit: it skips the mask lookup entirely.
 pub fn cached_walk(
     key: WalkKey,
     walk: impl FnOnce() -> PositionAggregate,
@@ -304,7 +262,6 @@ pub fn cached_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn generated_masks_replay_the_bernoulli_stream() {
@@ -334,31 +291,6 @@ mod tests {
         let (c, hit_c) = cached_masks(seed, 70, 0.5, 4, 3);
         assert!(!hit_c, "a different mask count is a different stream");
         assert_eq!(&c[..a.len()], &a[..], "longer block shares the prefix");
-    }
-
-    #[test]
-    fn plan_cache_verifies_word_for_word_before_reuse() {
-        let words = 2usize;
-        let mk = |seed: u64| -> Vec<u64> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..4 * words)
-                .map(|_| rng.next_u64() & !(1 << 63))
-                .collect()
-        };
-        let masks_a = mk(0xfeed_1001);
-        let mask_a = |k: usize, mi: usize| &masks_a[(k % 2 * 2 + mi) * words..][..words];
-        let (p1, hit1) = cached_plan(100, 2, &[0, 1], mask_a);
-        assert!(!hit1);
-        let (p2, hit2) = cached_plan(100, 2, &[0, 1], mask_a);
-        assert!(hit2, "identical inputs must hit");
-        assert!(Arc::ptr_eq(&p1, &p2));
-        // Different masks (same geometry) must not reuse the plan.
-        let masks_b = mk(0xfeed_1002);
-        let mask_b = |k: usize, mi: usize| &masks_b[(k % 2 * 2 + mi) * words..][..words];
-        let (p3, hit3) = cached_plan(100, 2, &[0, 1], mask_b);
-        assert!(!hit3);
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert!(p3.matches(100, 2, &[0, 1], mask_b));
     }
 
     #[test]

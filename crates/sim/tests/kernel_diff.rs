@@ -1,15 +1,14 @@
 //! Differential suite: the batched word-parallel [`PositionKernel`] —
-//! through ad-hoc binds, compiled [`LayerPlan`]s and every batch shape —
-//! against the scalar reference [`position_cost_scalar`],
+//! through rebinds and every batch shape — against the scalar reference [`position_cost_scalar`],
 //! byte-for-byte equal [`PositionCost`]s across random channel counts,
 //! mask patterns, concentration windows, and bus widths — including
 //! multi-word channels and the empty/dense extremes.
 //!
-//! This is the contract the kernel's three fast-path layers rest on (see
+//! This is the contract the kernel's two fast-path layers rest on (see
 //! DESIGN.md, "the sampled-fidelity hot path"): any divergence here is a
 //! correctness bug, not a tolerance question.
 
-use escalate_sim::ca::{position_cost_scalar, CaScratch, LayerPlan, PositionKernel, MAX_BATCH};
+use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
 use escalate_sim::engine::simulate_layer;
 use escalate_sim::trace::simulate_layer_traced;
 use escalate_sim::workload::{CoefMasks, LayerWorkload, WorkloadMode};
@@ -83,10 +82,9 @@ fn assert_batched_matches(
 }
 
 proptest! {
-    /// One position, every path: scalar, ad-hoc bind, repeat call (the
-    /// kernel is stateless across calls — the pinning case that replaced
-    /// the deleted memo), and a one-channel compiled plan — all
-    /// byte-for-byte equal.
+    /// One position, every path: scalar, bound kernel, and a repeat call
+    /// (the kernel is stateless across calls — the pinning case that
+    /// replaced the deleted memo) — all byte-for-byte equal.
     #[test]
     fn kernel_matches_scalar_on_any_position(
         c in 1usize..200,
@@ -111,10 +109,6 @@ proptest! {
         kernel.bind(c, refs.iter().copied());
         prop_assert_eq!(kernel.cost(&act), scalar);
         prop_assert_eq!(kernel.cost(&act), scalar, "repeat call must recompute identically");
-        let plan = LayerPlan::build(c, m, &[0], |_, mi| refs[mi]);
-        kernel.install_plan(plan);
-        kernel.bind_planned(0);
-        prop_assert_eq!(kernel.cost(&act), scalar, "planned bind");
     }
 
     /// A stream of positions through one bound kernel at batch sizes
@@ -153,10 +147,8 @@ proptest! {
     }
 
     /// Rebinding the kernel to a different channel (the per-channel loop in
-    /// run_positions) never leaks state: after any bind sequence — ad hoc
-    /// or through a multi-channel plan — answers still equal the scalar
-    /// reference for the currently-bound masks, and installing a plan
-    /// invalidates the previous bind's tables.
+    /// run_positions) never leaks state: after any bind sequence, answers
+    /// still equal the scalar reference for the currently-bound masks.
     #[test]
     fn rebind_sequences_stay_exact(
         c in 1usize..100,
@@ -179,19 +171,6 @@ proptest! {
             let scalar = position_cost_scalar(&cfg, c, &act, &refs, &mut scratch);
             prop_assert_eq!(kernel.cost(&act), scalar);
             prop_assert_eq!(kernel.cost(&act), scalar);
-        }
-        // The same sequence through one compiled plan: bind_planned must
-        // fully replace the previous channel's tables on every switch.
-        let all_rows: Vec<Vec<Vec<u64>>> = (0..4).map(coef_for).collect();
-        let channels: Vec<usize> = (0..4).collect();
-        let plan = LayerPlan::build(c, 2, &channels, |k, mi| &all_rows[k][mi]);
-        prop_assert!(plan.matches(c, 2, &channels, |k, mi| &all_rows[k][mi]));
-        kernel.install_plan(plan);
-        for &b in &binds {
-            let refs: Vec<&[u64]> = all_rows[b].iter().map(Vec::as_slice).collect();
-            kernel.bind_planned(b);
-            let scalar = position_cost_scalar(&cfg, c, &act, &refs, &mut scratch);
-            prop_assert_eq!(kernel.cost(&act), scalar, "planned bind {}", b);
         }
     }
 }
@@ -223,20 +202,20 @@ fn workload(c: usize, k: usize, x: usize) -> LayerWorkload {
 }
 
 /// End-to-end pin: whole-layer stats are bit-identical across repeated
-/// runs (plan compiled, then reused from the thread-local kernel cache)
-/// and across sample-width changes that force plan recompiles — for both
-/// the sampled and the trace-driven fidelity.
+/// walks through the thread-local kernel and across walks of a different
+/// channel sample interleaved between them — for both the sampled and the
+/// trace-driven fidelity.
 #[test]
-fn layer_stats_identical_across_plan_reuse() {
+fn layer_stats_identical_across_repeated_and_interleaved_walks() {
     let lw = workload(96, 32, 12);
     let ifm = escalate_models::synth::activations(&lw.shape, 0.5, 11);
     let base = SimConfig::default();
     let sampled = simulate_layer(&lw, &base, 7);
     let traced = simulate_layer_traced(&lw, &base, &ifm).unwrap();
     for round in 0..3 {
-        // Round 0 may compile the plan; later rounds reuse it. In between,
-        // walking a different channel sample forces a recompile — which
-        // must not perturb the original answers either.
+        // Every round rebinds the same thread-local kernel. In between,
+        // walking a different channel sample rebinds it to other
+        // channels — which must not perturb the original answers either.
         assert_eq!(simulate_layer(&lw, &base, 7), sampled, "round={round}");
         assert_eq!(
             simulate_layer_traced(&lw, &base, &ifm).unwrap(),

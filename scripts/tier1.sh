@@ -46,16 +46,32 @@ trap 'rm -rf "$SWEEP_DIR" "$SERVE_DIR"; kill "${SERVE_PID:-}" "${SWEEP_PID:-}" 2
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \
   --out "$SWEEP_DIR/cold.jsonl" --metrics "$SWEEP_DIR/cold.metrics.json" \
   --check results/sweep_frontier.txt > "$SWEEP_DIR/cold.txt"
-for want in bench.cache_hits=54 bench.cache_misses=10 \
-  ca.plan_compiles=411 ca.plan_reuses=1093 \
-  pipeline.synth_hits=240 pipeline.synth_misses=79 \
-  pipeline.unit_hits=76 pipeline.unit_misses=19 pipeline.units=245 \
+# `check_counters FILE name=value…` requires each counter of a metrics
+# manifest to hold exactly that value.
+check_counters() {
+  local file="$1" want name
+  shift
+  for want in "$@"; do
+    name="${want%%=*}"
+    grep -qE "\"${name//./\\.}\": ${want#*=}[,}]" "$file" \
+      || { echo "work counter $name != ${want#*=} in $file" >&2; exit 1; }
+  done
+}
+check_counters "$SWEEP_DIR/cold.metrics.json" \
+  bench.cache_hits=54 bench.cache_misses=10 \
+  ca.plan_compiles=997 ca.plan_reuses=507 \
+  pipeline.synth_hits=316 pipeline.synth_misses=79 pipeline.units=245 \
   sweep.derived_hits=1417 sweep.derived_misses=151 \
   sweep.derived_evictions=485 sweep.walk_hits=507 \
-  sweep.frontier_comparisons=940 sim.positions_walked=426368; do
-  name="${want%%=*}"
-  grep -qE "\"${name//./\\.}\": ${want#*=}[,}]" "$SWEEP_DIR/cold.metrics.json" \
-    || { echo "work counter $name != ${want#*=}" >&2; exit 1; }
+  sweep.frontier_comparisons=940 sim.positions_walked=426368
+# The same exact gate on a one-shot run: one compression, one walk per
+# decomposed layer and seed, at one thread and at all cores (0).
+for threads in 1 0; do
+  ./target/release/escalate simulate MobileNet --seeds 2 --threads "$threads" \
+    --metrics "$SWEEP_DIR/oneshot.metrics.json" > /dev/null
+  check_counters "$SWEEP_DIR/oneshot.metrics.json" \
+    bench.cache_misses=1 ca.plan_compiles=26 pipeline.units=14 \
+    sim.layers=28 sim.positions_walked=9984
 done
 head -n 20 "$SWEEP_DIR/cold.jsonl" > "$SWEEP_DIR/resumed.jsonl"
 ./target/release/escalate sweep MobileNet MobileNetV2 --samples 32 --seeds 1 \

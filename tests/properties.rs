@@ -190,7 +190,7 @@ fn derived_eviction_pressure_keeps_results_identical() {
     }
     let evicted = derived_cache_evictions() - before;
     set_derived_cache_capacity(DEFAULT_DERIVED_CAP);
-    // 4 layers × 2 seeds of masks+plans+walks through a 2-entry cache:
+    // 4 layers × 2 seeds of masks+walks through 2-entry caches:
     // eviction pressure must actually have occurred (other tests share
     // the process-global cache, so assert a floor, not an exact count).
     assert!(evicted >= 8, "expected sustained evictions, saw {evicted}");
