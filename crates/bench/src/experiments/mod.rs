@@ -86,13 +86,6 @@ pub trait Experiment: Sync {
     /// One-line description for `report --list`.
     fn summary(&self) -> &'static str;
 
-    /// Whether the output is deterministic and golden-checked.
-    /// Experiments that print wall-clock measurements (`reorg_ablation`)
-    /// opt out: `--check`/`--update` skip them.
-    fn golden(&self) -> bool {
-        true
-    }
-
     /// Runs the experiment under `ctx`, producing its output table.
     ///
     /// # Errors
@@ -154,19 +147,6 @@ mod tests {
     fn find_resolves_names() {
         assert_eq!(find("fig8").map(|e| e.name()), Some("fig8"));
         assert!(find("fig99").is_none());
-    }
-
-    #[test]
-    fn non_deterministic_experiments_opt_out_of_golden() {
-        for e in registry() {
-            let timed = e.name() == "reorg_ablation";
-            assert_eq!(
-                e.golden(),
-                !timed,
-                "{}: golden flag disagrees with its determinism",
-                e.name()
-            );
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ```text
 //! escalate report --list            # enumerate the registry
 //! escalate report fig8 table4       # run named experiments, text to stdout
-//! escalate report --all             # run every golden experiment
+//! escalate report --all             # run every experiment
 //! escalate report --json fig8       # JSON (escalate-report/v1) instead of text
 //! escalate report --out DIR --all   # one file per experiment instead of stdout
 //! escalate report --all --update    # regenerate the results/ golden corpus
@@ -20,10 +20,9 @@
 //! reported).
 //!
 //! `--check`/`--update` operate on the golden corpus under `results/`
-//! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`); experiments
-//! whose output is timing-dependent ([`Experiment::golden`] is `false`)
-//! are skipped by `--all`, `--check` and `--update` but still runnable by
-//! name. Flags accept both `--key value` and `--key=value`. Arguments
+//! (override with `--results DIR` or `ESCALATE_RESULTS_DIR`), one file
+//! per experiment: every experiment's output is deterministic. Flags
+//! accept both `--key value` and `--key=value`. Arguments
 //! after `--` are forwarded to the experiments verbatim
 //! (e.g. `escalate report fig11 -- MobileNet`).
 
@@ -37,7 +36,7 @@ use std::path::PathBuf;
 pub struct ReportOptions {
     /// List the registry and exit.
     pub list: bool,
-    /// Expand to every golden experiment.
+    /// Expand to every registered experiment.
     pub all: bool,
     /// Render JSON (`escalate-report/v1`) instead of text.
     pub json: bool,
@@ -139,17 +138,12 @@ impl ReportOptions {
 fn select(opts: &ReportOptions) -> Result<Vec<&'static dyn Experiment>, ExpError> {
     let mut exps: Vec<&'static dyn Experiment> = Vec::new();
     if opts.all {
-        exps.extend(registry().iter().copied().filter(|e| e.golden()));
+        exps.extend(registry().iter().copied());
     }
     for name in &opts.names {
         let exp = find(name).ok_or_else(|| {
             ExpError::Msg(format!("unknown experiment {name:?} (see report --list)"))
         })?;
-        if (opts.check || opts.update) && !exp.golden() {
-            return Err(ExpError::Msg(format!(
-                "{name} is not golden-checked (timing-dependent output)"
-            )));
-        }
         if !exps.iter().any(|e| e.name() == exp.name()) {
             exps.push(exp);
         }
@@ -303,18 +297,13 @@ impl UnitSink for StreamSink<'_> {
 /// read or written. Golden drift is a `false` return, not an error.
 pub fn run_report(opts: &ReportOptions, out: &mut dyn Write) -> Result<bool, ExpError> {
     if opts.list {
-        writeln!(
-            out,
-            "{:<16} {:<18} {:<6} summary",
-            "name", "paper anchor", "golden"
-        )?;
+        writeln!(out, "{:<16} {:<18} summary", "name", "paper anchor")?;
         for e in registry() {
             writeln!(
                 out,
-                "{:<16} {:<18} {:<6} {}",
+                "{:<16} {:<18} {}",
                 e.name(),
                 e.paper_anchor(),
-                if e.golden() { "yes" } else { "no" },
                 e.summary()
             )?;
         }
@@ -436,22 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn select_skips_non_golden_under_all_but_rejects_them_by_name() {
+    fn all_selects_every_registry_entry() {
         let all = ReportOptions {
             all: true,
             check: true,
             ..ReportOptions::default()
         };
-        let exps = select(&all).expect("select");
-        assert!(exps.iter().all(|e| e.golden()));
-        assert_eq!(exps.len(), registry().iter().filter(|e| e.golden()).count());
-
-        let by_name = ReportOptions {
-            check: true,
-            names: vec!["reorg_ablation".into()],
-            ..ReportOptions::default()
-        };
-        assert!(select(&by_name).is_err());
+        assert_eq!(select(&all).expect("select").len(), registry().len());
     }
 
     #[test]

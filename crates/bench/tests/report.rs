@@ -57,10 +57,11 @@ fn report_all_check_round_trips_the_full_corpus() {
     let clean = experiments::run_report(&opts, &mut buf).expect("report --all --check runs");
     let out = String::from_utf8(buf).expect("utf8");
     assert!(clean, "golden drift:\n{out}");
-    assert!(
-        out.contains("PASS: 18 experiment(s) checked"),
-        "expected the 18-experiment epilogue:\n{out}"
+    let epilogue = format!(
+        "PASS: {} experiment(s) checked",
+        experiments::registry().len()
     );
+    assert!(out.contains(&epilogue), "expected {epilogue:?}:\n{out}");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use escalate_core::artifact::{read_artifacts, write_artifacts, LayerArtifact};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_core::{compress_model_artifacts, ModelCompression};
 use escalate_models::ModelProfile;
-use escalate_sim::{ScheduleKind, SimConfig};
+use escalate_sim::{ScheduleKind, SimConfig, SimError};
 
 /// CLI-level error: argument problems or pipeline failures.
 #[derive(Debug)]
@@ -18,6 +18,9 @@ pub enum CliError {
     UnknownModel(String),
     /// The compression/simulation pipeline failed.
     Pipeline(String),
+    /// An option built a simulator configuration the design cannot hold
+    /// (`--m` beyond the MAC budget).
+    Config(SimError),
     /// `escalate report --check` found golden drift; the payload is the
     /// already-rendered check report.
     Drift(String),
@@ -29,6 +32,7 @@ impl std::fmt::Display for CliError {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::UnknownModel(m) => write!(f, "{m}"),
             CliError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
+            CliError::Config(e) => write!(f, "{e}"),
             CliError::Drift(report) => write!(f, "golden drift detected:\n{report}"),
         }
     }
@@ -103,7 +107,7 @@ COMMANDS:
     report [NAME ...]              drive the experiment registry (tables,
                                    figures, ablations)
         --list         enumerate the registered experiments
-        --all          every golden (deterministic) experiment
+        --all          every registered experiment
         --json         emit escalate-report/v1 JSON instead of text
         --check        diff against the results/ golden corpus
         --update       regenerate the results/ golden corpus
@@ -339,14 +343,9 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
     let seeds = args.get_or("seeds", input_seeds())?;
     let threads = args.get_or("threads", 0usize)?;
     let metrics_path = args.options.get("metrics").cloned();
-    if m == 0 {
-        return Err(CliError::Args(ArgError::BadValue {
-            option: "m".into(),
-            value: "0".into(),
-            expected: "a positive basis-kernel count",
-        }));
-    }
-    let mut cfg = SimConfig::default().with_m(m);
+    let mut cfg = SimConfig::default()
+        .try_with_m(m)
+        .map_err(CliError::Config)?;
     cfg.threads = threads;
     cfg.schedule = schedule;
 
@@ -810,12 +809,20 @@ mod tests {
     fn simulate_rejects_zero_basis_kernels() {
         let err = run(&["simulate", "MobileNet", "--m", "0", "--seeds", "1"]).unwrap_err();
         assert!(
-            matches!(
-                &err,
-                CliError::Args(ArgError::BadValue { option, .. }) if option == "m"
-            ),
-            "expected a --m BadValue, got: {err}"
+            matches!(&err, CliError::Config(SimError::BasisKernels { m: 0, .. })),
+            "expected an m error, got: {err}"
         );
+    }
+
+    #[test]
+    fn simulate_holds_m_to_the_mac_budget() {
+        // 960 MACs over 32 PEs hold at most 30 basis kernels per row.
+        let err = run(&["simulate", "MobileNet", "--m", "31", "--seeds", "1"]).unwrap_err();
+        assert!(
+            err.to_string().contains("m must be in 1..=30"),
+            "expected an m error naming the bound, got: {err}"
+        );
+        run(&["simulate", "MobileNet", "--m", "30", "--seeds", "1"]).unwrap();
     }
 
     #[test]

@@ -177,9 +177,11 @@ fn skip_value(b: &[u8], mut i: usize) -> Option<usize> {
     }
 }
 
-/// Extracts a string field from one JSONL record, un-escaping the JSON
-/// string syntax [`crate::JsonWriter`] emits. `None` when the field is
-/// missing or not a string.
+/// Extracts a string field from one JSONL record, decoding every JSON
+/// string escape (`\uXXXX` surrogate pairs included). `None` when the
+/// field is missing or not a string, or the string is not valid JSON: an
+/// unknown escape, a `\u` without exactly four hex digits, a lone
+/// surrogate or a raw control character.
 pub fn json_string_field(line: &str, key: &str) -> Option<String> {
     let start = value_start(line, key)?;
     let mut chars = line[start..].chars();
@@ -190,23 +192,41 @@ pub fn json_string_field(line: &str, key: &str) -> Option<String> {
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
+            '\\' => out.push(match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                '/' => '/',
+                'b' => '\u{8}',
+                'f' => '\u{c}',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => match hex4(&mut chars)? {
+                    hi @ 0xd800..=0xdbff => {
+                        if (chars.next()?, chars.next()?) != ('\\', 'u') {
+                            return None;
+                        }
+                        let lo = hex4(&mut chars)?;
+                        if !(0xdc00..=0xdfff).contains(&lo) {
+                            return None;
+                        }
+                        char::from_u32(0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))?
+                    }
+                    code => char::from_u32(code)?, // `None` for a lone low surrogate
+                },
                 _ => return None,
-            },
+            }),
+            c if c < ' ' => return None,
             c => out.push(c),
         }
     }
     None // unterminated string: a truncated (interrupted) record
+}
+
+/// The code unit of the four hex digits of a `\uXXXX` escape; `None`
+/// unless exactly four hex digits follow.
+fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
+    (0..4).try_fold(0, |code, _| Some(code << 4 | chars.next()?.to_digit(16)?))
 }
 
 /// The raw text of a field's value, whatever its type: a scalar token,
@@ -220,15 +240,56 @@ pub fn json_raw_field<'l>(line: &'l str, key: &str) -> Option<&'l str> {
     (end > start).then(|| &line[start..end])
 }
 
-/// Extracts a float field from one JSONL record (`null` — the encoding of
-/// non-finite floats — and malformed numbers return `None`).
-pub fn json_f64_field(line: &str, key: &str) -> Option<f64> {
-    json_raw_field(line, key)?.parse().ok()
+/// Whether `tok` is a JSON number:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Rust's `FromStr`
+/// alone also takes `+7`, `007`, `.5`, `inf` and `NaN`.
+fn is_json_number(tok: &str) -> bool {
+    /// The rest of `s` after its leading ASCII digits, if there is at
+    /// least one.
+    fn digits(s: &str) -> Option<&str> {
+        let rest = s.trim_start_matches(|c: char| c.is_ascii_digit());
+        (rest.len() < s.len()).then_some(rest)
+    }
+    let int = tok.strip_prefix('-').unwrap_or(tok);
+    let Some(mut rest) = digits(int) else {
+        return false;
+    };
+    if int.starts_with('0') && int.len() - rest.len() > 1 {
+        return false; // a leading zero
+    }
+    if let Some(frac) = rest.strip_prefix('.') {
+        let Some(r) = digits(frac) else { return false };
+        rest = r;
+    }
+    if let Some(exp) = rest.strip_prefix(['e', 'E']) {
+        let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+        let Some(r) = digits(exp) else { return false };
+        rest = r;
+    }
+    rest.is_empty()
 }
 
-/// Extracts an unsigned-integer field from one JSONL record.
+/// A number field parsed as `T`, if its token is a JSON number `T` reads.
+fn json_number_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
+    let tok = json_raw_field(line, key)?;
+    if is_json_number(tok) {
+        tok.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// Extracts a float field from one JSONL record (`null` — the encoding of
+/// non-finite floats — and tokens outside JSON's number grammar return
+/// `None`).
+pub fn json_f64_field(line: &str, key: &str) -> Option<f64> {
+    json_number_field(line, key)
+}
+
+/// Extracts an unsigned-integer field from one JSONL record: a JSON
+/// number with no sign, fraction or exponent that fits a `u64`.
 pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    json_raw_field(line, key)?.parse().ok()
+    json_number_field(line, key)
 }
 
 /// Extracts a boolean field (`true`/`false`) from one JSONL record.
@@ -385,6 +446,53 @@ mod tests {
             json_string_field(line, "key").as_deref(),
             Some("ctrl \u{1} end")
         );
+    }
+
+    #[test]
+    fn string_scanner_decodes_every_json_escape() {
+        let field = |value: &str| json_string_field(&format!("{{\"s\": \"{value}\"}}"), "s");
+        assert_eq!(field(r"a\/b").as_deref(), Some("a/b"));
+        assert_eq!(field(r"\b\f\n\r\t").as_deref(), Some("\u{8}\u{c}\n\r\t"));
+        assert_eq!(field(r"\u00e9\u00C9").as_deref(), Some("éÉ"));
+        // A UTF-16 surrogate pair is one character.
+        assert_eq!(field(r"\ud83d\ude00").as_deref(), Some("\u{1f600}"));
+        // Not JSON: a `\u` without exactly four hex digits, a lone or
+        // reversed surrogate, an unknown escape, a raw control character.
+        for bad in [
+            r"\u+041",
+            r"\u041",
+            r"\u 041",
+            r"\ud83d",
+            r"\ud83dx",
+            r"\ud83d\u0041",
+            r"\ude00",
+            r"\ude00\ud83d",
+            r"\x41",
+            "tab\there",
+        ] {
+            assert_eq!(field(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn number_scanners_accept_exactly_json_numbers() {
+        let u = |tok: &str| json_u64_field(&format!("{{\"n\": {tok}}}"), "n");
+        let f = |tok: &str| json_f64_field(&format!("{{\"n\": {tok}}}"), "n");
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(f("-0.5e+3"), Some(-500.0));
+        assert_eq!(f("1E2"), Some(100.0));
+        assert_eq!(f("0"), Some(0.0));
+        for bad in [
+            "+7", "007", "-", "1.", ".5", "1e", "1e+", "inf", "NaN", "0x10", "1_0",
+        ] {
+            assert_eq!(u(bad), None, "{bad:?}");
+            assert_eq!(f(bad), None, "{bad:?}");
+        }
+        // Valid numbers a u64 cannot hold.
+        for out_of_range in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            assert_eq!(u(out_of_range), None, "{out_of_range:?}");
+        }
     }
 
     #[test]

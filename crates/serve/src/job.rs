@@ -51,7 +51,9 @@ impl CompiledJob {
                 profile: resolve(model)?,
                 cfg: SimConfig {
                     schedule: ScheduleKind::parse(schedule)?,
-                    ..SimConfig::default().with_m(positive_m(*m)?)
+                    ..SimConfig::default()
+                        .try_with_m(*m)
+                        .map_err(|e| e.to_string())?
                 },
                 seeds: *seeds,
                 results: Mutex::new((0..ACCELERATOR_NAMES.len()).map(|_| None).collect()),
@@ -150,15 +152,6 @@ impl CompiledJob {
             }
         }
     }
-}
-
-/// Rejects `m = 0` (no basis kernels) before [`SimConfig::with_m`] would
-/// assert on it.
-fn positive_m(m: usize) -> Result<usize, String> {
-    if m == 0 {
-        return Err("m must be positive, got 0".into());
-    }
-    Ok(m)
 }
 
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {

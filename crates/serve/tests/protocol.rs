@@ -157,7 +157,15 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
         ("{\"verb\": \"report\", \"experiment\": \"fig99\"}", "fig99"),
         (
             "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":0}",
-            "m must be positive",
+            "m must be in 1..=30",
+        ),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":31}",
+            "m must be in 1..=30",
+        ),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":+7}",
+            "\"m\"",
         ),
         (
             "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":\"7\"}",

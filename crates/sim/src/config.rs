@@ -1,5 +1,7 @@
 //! Accelerator configuration (paper Table 2).
 
+use crate::SimError;
+
 /// Whole-network schedule mode: how per-layer work shares the PE array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
@@ -167,11 +169,29 @@ impl SimConfig {
 
     /// A design-space variant with `m` basis kernels, shrinking `l` to keep
     /// the multiplier budget constant (the Figure 12 trade-off).
-    pub fn with_m(&self, m: usize) -> SimConfig {
-        assert!(m > 0, "m must be positive");
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BasisKernels`] when `m` is 0 or the budget cannot give
+    /// each of the `n_pe` PEs one MAC row of `m` multipliers
+    /// (`total_macs() < n_pe·m`; `m > 30` at the Table 2 defaults).
+    pub fn try_with_m(&self, m: usize) -> Result<SimConfig, SimError> {
         let budget = self.total_macs();
-        let l = (budget / (self.n_pe * m)).max(1);
-        SimConfig { m, l, ..*self }
+        let max = budget / self.n_pe;
+        if m == 0 || m > max {
+            return Err(SimError::BasisKernels { m, max });
+        }
+        let l = budget / (self.n_pe * m);
+        Ok(SimConfig { m, l, ..*self })
+    }
+
+    /// [`SimConfig::try_with_m`] for an `m` known to fit the budget.
+    ///
+    /// # Panics
+    ///
+    /// When `try_with_m` rejects `m`.
+    pub fn with_m(&self, m: usize) -> SimConfig {
+        self.try_with_m(m).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Cycle time in nanoseconds.
@@ -292,6 +312,17 @@ mod tests {
         // Callers build every config as `default().with_m(m)`, with no
         // special case for the Table 2 default.
         assert_eq!(SimConfig::default().with_m(6), SimConfig::default());
+    }
+
+    #[test]
+    fn try_with_m_rejects_counts_the_mac_budget_cannot_hold() {
+        let base = SimConfig::default();
+        assert_eq!(base.try_with_m(30).map(|c| c.l), Ok(1));
+        for m in [0, 31, usize::MAX] {
+            let e = base.try_with_m(m).unwrap_err();
+            assert_eq!(e, SimError::BasisKernels { m, max: 30 });
+            assert!(e.to_string().contains("m must be in 1..=30"), "{e}");
+        }
     }
 
     #[test]

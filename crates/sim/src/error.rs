@@ -2,15 +2,17 @@
 //!
 //! The trace-driven and detailed fidelities validate their inputs (the
 //! workload must be decomposed, the feature map must match the layer
-//! shape) and report violations as [`SimError`] values instead of
-//! panicking, so the CLI can surface bad inputs as ordinary error
-//! messages. `SimError` converts into
+//! shape), and [`crate::SimConfig::try_with_m`] validates the basis-kernel
+//! count; both report violations as [`SimError`] values instead of
+//! panicking, so the CLI and the daemon can surface bad inputs as
+//! ordinary error messages. `SimError` converts into
 //! [`escalate_core::EscalateError`] for callers that mix simulation with
 //! the compression pipeline.
 
 use escalate_core::EscalateError;
 
-/// An invalid input to one of the simulation fidelities.
+/// An invalid input to one of the simulation fidelities, or an invalid
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The workload runs on the dense fallback path and has no
@@ -42,6 +44,14 @@ pub enum SimError {
         /// `(C, X, Y)` the feature map provides.
         got: [usize; 3],
     },
+    /// A basis-kernel count the MAC budget cannot hold: zero, or more
+    /// than one MAC row per PE allows.
+    BasisKernels {
+        /// The requested `m`.
+        m: usize,
+        /// The largest `m` the budget holds (`total_macs / n_pe`).
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -72,6 +82,13 @@ impl std::fmt::Display for SimError {
                     f,
                     "layer {layer}: feature map is {}x{}x{} but the workload expects {}x{}x{}",
                     got[0], got[1], got[2], expected[0], expected[1], expected[2]
+                )
+            }
+            SimError::BasisKernels { m, max } => {
+                write!(
+                    f,
+                    "m must be in 1..={max} (the MAC budget holds one row of m \
+                     multipliers per PE), got {m}"
                 )
             }
         }

@@ -8,6 +8,7 @@
 //! DESIGN.md, "the sampled-fidelity hot path"): any divergence here is a
 //! correctness bug, not a tolerance question.
 
+use escalate_models::hash::splitmix64;
 use escalate_sim::ca::{position_cost_scalar, CaScratch, PositionKernel, MAX_BATCH};
 use escalate_sim::engine::simulate_layer;
 use escalate_sim::trace::simulate_layer_traced;
@@ -65,18 +66,15 @@ fn scalar_costs(
 /// tail included) and asserts each answer equals the scalar reference.
 fn assert_batched_matches(
     kernel: &mut PositionKernel,
-    c: usize,
     acts: &[Vec<u64>],
     expect: &[PositionCost],
     batch: usize,
 ) -> Result<(), TestCaseError> {
-    let words = c.div_ceil(64);
     let mut out = vec![PositionCost::default(); batch];
     for (chunk, exp) in acts.chunks(batch).zip(expect.chunks(batch)) {
         let flat: Vec<u64> = chunk.iter().flatten().copied().collect();
         kernel.cost_batch(&flat, chunk.len(), &mut out);
         prop_assert_eq!(&out[..chunk.len()], exp, "batch size {}", batch);
-        let _ = words;
     }
     Ok(())
 }
@@ -142,7 +140,7 @@ proptest! {
         let mut kernel = PositionKernel::new(&cfg);
         kernel.bind(c, refs.iter().copied());
         for batch in [1usize, 3, 4, MAX_BATCH] {
-            assert_batched_matches(&mut kernel, c, &acts, &expect, batch)?;
+            assert_batched_matches(&mut kernel, &acts, &expect, batch)?;
         }
     }
 
@@ -173,6 +171,46 @@ proptest! {
             prop_assert_eq!(kernel.cost(&act), scalar);
         }
     }
+}
+
+/// A `c`-channel mask with roughly `per_mille`/1000 bits set, drawn from
+/// `seed` one splitmix64 value per bit.
+fn splitmix_mask(seed: &mut u64, c: usize, per_mille: u64) -> Vec<u64> {
+    let words: Vec<u64> = (0..c.div_ceil(64))
+        .map(|_| {
+            (0..64).fold(0u64, |w, b| {
+                w | u64::from(splitmix64(seed) % 1000 < per_mille) << b
+            })
+        })
+        .collect();
+    mask_words(&words, c, 0)
+}
+
+/// The MobileNet regime the paper optimizes, beyond the proptests' reach
+/// (c < 200): a 256-channel pointwise layer with M = 6, ~5%-dense
+/// coefficients meeting ~90%-dense activations, over 48 positions (one
+/// sampled channel's walk). Scalar, one-position and `MAX_BATCH`-chunked
+/// kernel answers must all agree.
+#[test]
+fn mobilenet_regime_walk_matches_scalar_on_every_path() {
+    const C: usize = 256;
+    const M: usize = 6;
+    const POSITIONS: usize = 48;
+    let mut seed = 0x5eed_c0de_u64;
+    let coef: Vec<Vec<u64>> = (0..M).map(|_| splitmix_mask(&mut seed, C, 50)).collect();
+    let acts: Vec<Vec<u64>> = (0..POSITIONS)
+        .map(|_| splitmix_mask(&mut seed, C, 900))
+        .collect();
+    let refs: Vec<&[u64]> = coef.iter().map(Vec::as_slice).collect();
+    let cfg = SimConfig::default();
+    let expect = scalar_costs(&cfg, C, &acts, &refs);
+
+    let mut kernel = PositionKernel::new(&cfg);
+    kernel.bind(C, refs.iter().copied());
+    for (act, scalar) in acts.iter().zip(&expect) {
+        assert_eq!(kernel.cost(act), *scalar);
+    }
+    assert_batched_matches(&mut kernel, &acts, &expect, MAX_BATCH).expect("batched == scalar");
 }
 
 fn workload(c: usize, k: usize, x: usize) -> LayerWorkload {

@@ -19,12 +19,7 @@ cargo test -q --offline --workspace
 # test matrix (unit + doc tests) explicitly so a workspace-level filter
 # can never silently drop it.
 cargo test -q --offline -p escalate-obs
-# Criterion's `--test` mode runs each kernel benchmark once, unmeasured:
-# a smoke check that the scalar/word-parallel/batched differential
-# assertion and the bench wiring stay green without paying for real
-# measurement.
-cargo bench --offline -p escalate-bench --bench position_kernel -- --test
-# Golden-diff regression check over the full corpus: all 19 golden
+# Golden-diff regression check over the full corpus: all 20 registered
 # experiments must stay byte-identical to the committed results/ files
 # (~75 s in release on a single core; the per-experiment dev-profile
 # round-trips live in crates/bench/tests/report.rs).
