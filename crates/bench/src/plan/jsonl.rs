@@ -1,18 +1,17 @@
 //! The append-only JSONL stream sink with resume support.
 //!
 //! On open, the sink first repairs any torn tail: a process killed
-//! mid-append can leave an unterminated final line behind, and — worse —
-//! one whose `"key"` field is already complete even though the record is
-//! not. Counting such a line as recorded would make the resumed run skip
-//! the unit forever and leave the corrupt line in the stream; appending
-//! after it would glue the next record onto the torn bytes. So an
-//! unterminated tail (no trailing newline) is *truncated* before
-//! anything else happens — the interrupted unit simply re-runs — which
-//! is what makes a crash/restart cycle byte-identical to an
-//! uninterrupted cold run.
+//! mid-append can leave an unterminated final line behind, possibly with
+//! its `"key"` field already complete. Appending after it would glue the
+//! next record onto the torn bytes, so an unterminated tail (no trailing
+//! newline) is *truncated* before anything else happens — the
+//! interrupted unit simply re-runs — which is what makes a crash/restart
+//! cycle byte-identical to an uninterrupted cold run.
 //!
 //! The surviving complete records are then indexed by their `"key"`
-//! field with **keep-last semantics**: if a key's records appear in more
+//! field, each line read by one strict `Json::parse` — a line that does
+//! not parse keys nothing, so it never counts as recorded — with
+//! **keep-last semantics**: if a key's records appear in more
 //! than one contiguous run (the signature of a pre-repair crash/restart
 //! cycle that appended a duplicate), only the *last* run is kept —
 //! consumers reading through [`JsonlSink::lines_for`] see exactly one
@@ -27,8 +26,10 @@
 //! lines records it partially and a resume skips the remainder.
 
 use super::{ExpError, UnitOutput, UnitSink, WorkUnit};
-use escalate_obs::jsonl::{json_string_field, JsonlWriter};
+use escalate_obs::Json;
 use std::collections::HashMap;
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Append-only JSONL sink: recorded keys are skipped on re-run, new
@@ -36,7 +37,8 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct JsonlSink {
     path: PathBuf,
-    writer: JsonlWriter,
+    /// The stream, open for appending.
+    file: std::fs::File,
     /// Key → that key's record lines (prior runs *and* this one). For
     /// keys that appear in multiple non-contiguous runs in the file, only
     /// the last run is held (keep-last resume semantics).
@@ -45,35 +47,42 @@ pub struct JsonlSink {
     truncated_tail: bool,
 }
 
-/// Drops an unterminated final line (one not ending in `\n`) from the
-/// file, returning whether anything was cut. A missing file is a no-op.
-fn truncate_torn_tail(path: &Path) -> std::io::Result<bool> {
-    let raw = match std::fs::read(path) {
+/// Reads the stream's complete lines, first dropping an unterminated
+/// final line (one not ending in `\n`) from the file; also returns
+/// whether anything was cut. A missing file is an empty stream.
+fn read_repaired(path: &Path) -> std::io::Result<(String, bool)> {
+    let mut raw = match std::fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    match raw.last() {
-        None | Some(b'\n') => Ok(false),
-        Some(_) => {
-            let keep = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            let file = std::fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(keep as u64)?;
-            file.sync_all()?;
-            Ok(true)
-        }
+    let keep = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let torn = keep < raw.len();
+    if torn {
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(keep as u64)?;
+        file.sync_all()?;
+        raw.truncate(keep);
     }
+    let text = String::from_utf8(raw)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok((text, torn))
+}
+
+/// The `"key"` of a record line that is strict JSON.
+fn record_key(line: &str) -> Option<String> {
+    Some(Json::parse(line).ok()?.get("key")?.as_str()?.to_string())
 }
 
 /// Indexes complete record lines by key with keep-last semantics: a key
 /// reappearing after other keys (or after an unkeyed line) starts a new
 /// run that *replaces* its earlier one, while consecutive lines with the
 /// same key extend the current run (the multi-line-unit case).
-fn index_keep_last(lines: Vec<String>) -> HashMap<String, Vec<String>> {
+fn index_keep_last(text: &str) -> HashMap<String, Vec<String>> {
     let mut records: HashMap<String, Vec<String>> = HashMap::new();
     let mut run_key: Option<String> = None;
-    for line in lines {
-        let Some(key) = json_string_field(&line, "key") else {
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let Some(key) = record_key(line) else {
             run_key = None;
             continue;
         };
@@ -85,7 +94,7 @@ fn index_keep_last(lines: Vec<String>) -> HashMap<String, Vec<String>> {
         records
             .get_mut(&key)
             .expect("run entry just ensured")
-            .push(line);
+            .push(line.to_string());
     }
     records
 }
@@ -100,12 +109,14 @@ impl JsonlSink {
     ///
     /// Propagates filesystem failures.
     pub fn open(path: &Path) -> std::io::Result<JsonlSink> {
-        let truncated_tail = truncate_torn_tail(path)?;
-        let records = index_keep_last(escalate_obs::jsonl::read_lines(path)?);
+        let (text, truncated_tail) = read_repaired(path)?;
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
         Ok(JsonlSink {
             path: path.to_path_buf(),
-            writer: JsonlWriter::append_to(path)?,
-            records,
+            file: OpenOptions::new().create(true).append(true).open(path)?,
+            records: index_keep_last(&text),
             appended: 0,
             truncated_tail,
         })
@@ -142,11 +153,11 @@ impl UnitSink for JsonlSink {
     fn write_unit(&mut self, unit: &WorkUnit, out: UnitOutput) -> Result<(), ExpError> {
         for line in out.jsonl {
             debug_assert_eq!(
-                json_string_field(&line, "key").as_deref(),
+                record_key(&line).as_deref(),
                 Some(unit.key.as_str()),
                 "JSONL records must carry their unit's key for resume"
             );
-            self.writer.append(&line)?;
+            self.file.write_all(format!("{line}\n").as_bytes())?;
             self.records.entry(unit.key.clone()).or_default().push(line);
             self.appended += 1;
         }
@@ -203,9 +214,10 @@ mod tests {
 
     #[test]
     fn interrupted_stream_resumes_to_the_cold_run_bytes() {
-        let cold = tmp("cold.jsonl");
+        // `open` creates missing parent directories.
+        let cold = tmp("nested/cold.jsonl");
         let resumed = tmp("resumed.jsonl");
-        std::fs::remove_file(&cold).ok();
+        std::fs::remove_dir_all(cold.parent().expect("parent")).ok();
         std::fs::remove_file(&resumed).ok();
 
         let plan = Stream { n: 4 };
@@ -264,10 +276,9 @@ mod tests {
 
     #[test]
     fn torn_tail_with_a_complete_key_restarts_byte_identical_to_cold() {
-        // The nasty case this fix exists for: the killed writer finished
-        // the `"key"` field but not the record. Before the repair, the
-        // key parsed, the unit was (wrongly) treated as recorded, and the
-        // corrupt line stayed in the stream forever.
+        // The killed writer finished the `"key"` field but not the
+        // record: the torn line must neither count as recorded nor stay
+        // in the stream.
         let cold = tmp("crash_cold.jsonl");
         let crashed = tmp("crash_resumed.jsonl");
         std::fs::remove_file(&cold).ok();
@@ -286,8 +297,11 @@ mod tests {
         let k1 = lines.next().expect("k1");
         let torn = format!("{k0}\n{}", &k1[..k1.len() - 3]);
         assert!(
-            json_string_field(torn.lines().last().expect("tail"), "key").is_some(),
-            "the torn tail must still carry a parseable key for this test"
+            torn.lines()
+                .last()
+                .expect("tail")
+                .contains("\"key\": \"k1\""),
+            "the torn tail must still carry k1's complete key for this test"
         );
         std::fs::write(&crashed, torn).expect("write torn");
 
@@ -331,7 +345,7 @@ mod tests {
         assert_eq!(
             sink.lines_for("b"),
             Some(&["{\"key\": \"b\", \"seed\": 2}".to_string()][..]),
-            "the torn-but-keyed earlier line is superseded"
+            "the torn earlier line is never one of b's records"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -22,7 +22,7 @@ use crate::plan::{self, JsonlSink, RunPlan, UnitOutput, WorkUnit};
 use escalate_core::pipeline::CompressionConfig;
 use escalate_models::hash::splitmix64;
 use escalate_models::ModelProfile;
-use escalate_obs::{json_f64_field, json_string_field, json_u64_field, JsonWriter};
+use escalate_obs::{Json, JsonWriter};
 use escalate_sim::{DesignPoint, ScheduleKind};
 use std::io::Write;
 use std::path::PathBuf;
@@ -306,16 +306,20 @@ impl SweepRecord {
         w.finish()
     }
 
-    /// Parses one stream line back into a record (`None` on any missing
-    /// or mistyped field — e.g. a torn tail line).
+    /// Parses one stream line back into a record (`None` when the line
+    /// is not strict JSON — e.g. a torn tail line — or a field is
+    /// missing or mistyped).
     pub fn from_json_line(line: &str) -> Option<SweepRecord> {
-        if json_string_field(line, "schema")? != SWEEP_SCHEMA {
+        let rec = Json::parse(line).ok()?;
+        if rec.get("schema")?.as_str()? != SWEEP_SCHEMA {
             return None;
         }
-        let u = |k: &str| json_u64_field(line, k);
+        let string = |k: &str| rec.get(k)?.as_str().map(str::to_string);
+        let u = |k: &str| rec.get(k)?.as_u64();
+        let f = |k: &str| rec.get(k)?.as_f64();
         Some(SweepRecord {
-            key: json_string_field(line, "key")?,
-            network: json_string_field(line, "network")?,
+            key: string("key")?,
+            network: string("network")?,
             sample: u("sample")?,
             seed: u("seed")?,
             point: DesignPoint {
@@ -329,10 +333,10 @@ impl SweepRecord {
                 sample_channels: u("sample_channels")? as usize,
             },
             input_seeds: u("input_seeds")?,
-            cycles: json_f64_field(line, "cycles")?,
-            dram_mb: json_f64_field(line, "dram_mb")?,
-            energy_mj: json_f64_field(line, "energy_mj")?,
-            area_mm2: json_f64_field(line, "area_mm2")?,
+            cycles: f("cycles")?,
+            dram_mb: f("dram_mb")?,
+            energy_mj: f("energy_mj")?,
+            area_mm2: f("area_mm2")?,
         })
     }
 }

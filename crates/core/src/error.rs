@@ -8,7 +8,7 @@ use escalate_tensor::TensorError;
 pub enum EscalateError {
     /// A numerical routine in the tensor substrate failed.
     Numeric(TensorError),
-    /// The requested basis count is invalid for the layer.
+    /// The requested basis count is outside `1..=rs` for the layer.
     InvalidBasisCount {
         /// Requested number of basis kernels.
         m: usize,
@@ -38,7 +38,10 @@ impl std::fmt::Display for EscalateError {
         match self {
             EscalateError::Numeric(e) => write!(f, "numeric failure: {e}"),
             EscalateError::InvalidBasisCount { m, rs } => {
-                write!(f, "basis count {m} exceeds kernel area {rs}")
+                write!(
+                    f,
+                    "basis count {m} is outside 1..={rs} (the kernel area R*S)"
+                )
             }
             EscalateError::NotDecomposable { layer } => {
                 write!(f, "layer {layer} cannot be decomposed")
@@ -87,6 +90,15 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn a_bad_basis_count_states_the_valid_range() {
+        let e = EscalateError::InvalidBasisCount { m: 0, rs: 9 };
+        assert_eq!(
+            e.to_string(),
+            "basis count 0 is outside 1..=9 (the kernel area R*S)"
+        );
     }
 
     #[test]

@@ -345,8 +345,10 @@ impl TernaryCoeffs {
 ///
 /// Eq. (4) zeroes an element when `|c| ≤ t · max|slice|`, so the smallest
 /// sufficient `t` is the target-quantile of the per-element ratios
-/// `|c| / max|slice|` — computed exactly in one pass plus a sort.
+/// `|c| / max|slice|` — computed exactly in one pass plus a selection of
+/// that one order statistic (no full sort).
 pub fn threshold_for_sparsity(coeffs: &Tensor, target: f64) -> f32 {
+    let _t = escalate_obs::span("pipeline.threshold");
     let shape: [usize; 3] = coeffs.shape().try_into().expect("coeffs must be K*C*M");
     let [k, c, m] = shape;
     let slice_len = c * m;
@@ -363,12 +365,12 @@ pub fn threshold_for_sparsity(coeffs: &Tensor, target: f64) -> f32 {
     if ratios.is_empty() {
         return 0.0;
     }
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let n = ratios.len();
     let idx = ((target * n as f64).ceil() as usize)
         .min(n)
         .saturating_sub(1);
-    ratios[idx].clamp(0.0, 0.999)
+    let (_, nth, _) = ratios.select_nth_unstable_by(idx, f32::total_cmp);
+    nth.clamp(0.0, 0.999)
 }
 
 /// A fully hybrid-quantized decomposed layer: 8-bit basis plus ternary
@@ -442,6 +444,50 @@ mod tests {
             last = err;
         }
         assert!(last < 1e-3);
+    }
+
+    #[test]
+    fn threshold_selection_matches_the_sorted_order_statistic() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for case in 0..64 {
+            let (k, c, m) = (
+                rng.gen_range(1..6),
+                rng.gen_range(1..9),
+                rng.gen_range(1..7),
+            );
+            let t = Tensor::from_fn(&[k, c, m], |_| {
+                // Ties and exact zeros as well as spread values.
+                match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => 0.5,
+                    _ => rng.gen_range(-2.0f32..2.0),
+                }
+            });
+            let target: f64 = rng.gen_range(0.0..1.0);
+            // The pre-selection computation: sort every ratio, read one.
+            let mut ratios: Vec<f32> = t
+                .as_slice()
+                .chunks(c * m)
+                .flat_map(|slice| {
+                    let max = slice.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+                    slice
+                        .iter()
+                        .map(move |&v| if max == 0.0 { 0.0 } else { v.abs() / max })
+                })
+                .collect();
+            ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let n = ratios.len();
+            let idx = ((target * n as f64).ceil() as usize)
+                .min(n)
+                .saturating_sub(1);
+            let sorted = ratios[idx].clamp(0.0, 0.999);
+            assert_eq!(
+                threshold_for_sparsity(&t, target).to_bits(),
+                sorted.to_bits(),
+                "case {case}: {k}x{c}x{m} at {target}"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct LayerCharacter {
 }
 
 impl LayerCharacter {
-    /// Characterizes one layer for an `m`-basis decomposition.
+    /// Characterizes one layer for an `m`-basis decomposition (`m ≥ 1`).
     pub fn of(layer: &LayerShape, m: usize) -> LayerCharacter {
         let macs = layer.macs() as u64;
         let bytes = (layer.weight_params() + layer.input_size() + layer.output_size()) as u64;
@@ -36,7 +36,7 @@ impl LayerCharacter {
             macs,
             bytes,
             intensity: macs as f64 / bytes.max(1) as f64,
-            cm_bound: layer.c as f64 / m.max(1) as f64,
+            cm_bound: layer.c as f64 / m as f64,
             positions: (layer.x * layer.y) as u64,
             channels: layer.c as u64,
             kind: layer.kind,
@@ -54,7 +54,8 @@ pub struct ModelCharacter {
 }
 
 impl ModelCharacter {
-    /// Characterizes every conv layer of a profile's model.
+    /// Characterizes every conv layer of a profile's model for an
+    /// `m`-basis decomposition (`m ≥ 1`).
     pub fn of(profile: &ModelProfile, m: usize) -> ModelCharacter {
         let model = profile.model();
         ModelCharacter {

@@ -2,7 +2,8 @@
 
 //! Zero-dependency observability layer for the ESCALATE workspace:
 //! counters, log₂ histograms, and wall-clock timing spans, aggregated in a
-//! thread-safe [`Registry`] and exportable as JSON.
+//! thread-safe [`Registry`] and exportable as JSON, plus the workspace's
+//! one JSON writer and strict reader ([`JsonWriter`], [`Json::parse`]).
 //!
 //! # Design
 //!
@@ -46,12 +47,10 @@
 
 pub mod histogram;
 pub mod json;
-pub mod jsonl;
 pub mod registry;
 
 pub use histogram::Histogram;
-pub use json::JsonWriter;
-pub use jsonl::{json_f64_field, json_string_field, json_u64_field, JsonlWriter};
+pub use json::{json_f64_field, json_string_field, json_u64_field, Json, JsonError, JsonWriter};
 pub use registry::{Registry, Snapshot, SpanStats, SpanTimer};
 
 use std::sync::{Arc, RwLock};

@@ -64,17 +64,22 @@ impl CompiledJob {
                 qat,
                 seed,
                 layers,
-            } => Ok(CompiledJob::Compress(CompressPlan {
-                profile: resolve(model)?,
-                cfg: CompressionConfig {
-                    m: *m,
-                    qat_epochs: *qat,
-                    seed: *seed,
-                    ..CompressionConfig::default()
-                },
-                layers: *layers,
-                output: Mutex::new(None),
-            })),
+            } => {
+                if *m == 0 {
+                    return Err("m must be at least 1 (the basis-kernel count), got 0".into());
+                }
+                Ok(CompiledJob::Compress(CompressPlan {
+                    profile: resolve(model)?,
+                    cfg: CompressionConfig {
+                        m: *m,
+                        qat_epochs: *qat,
+                        seed: *seed,
+                        ..CompressionConfig::default()
+                    },
+                    layers: *layers,
+                    output: Mutex::new(None),
+                }))
+            }
             Request::Report { experiment } => {
                 if escalate_bench::experiments::find(experiment).is_none() {
                     return Err(format!(
@@ -381,6 +386,17 @@ mod tests {
             panic!("unknown experiment must not compile")
         };
         assert!(e.contains("fig99"), "{e}");
+        let bad = Request::Compress {
+            model: "MobileNet".into(),
+            m: 0,
+            qat: 0,
+            seed: 42,
+            layers: false,
+        };
+        let Err(e) = CompiledJob::compile(&bad) else {
+            panic!("m = 0 must not compile")
+        };
+        assert!(e.contains("m must be at least 1"), "{e}");
         assert!(CompiledJob::compile(&Request::Ping).is_err());
     }
 
@@ -397,15 +413,11 @@ mod tests {
         let out = job.run(&mut sink).unwrap();
         assert_eq!(sink.records.len(), 4, "one record per design");
         for (record, accel) in sink.records.iter().zip(ACCELERATOR_NAMES) {
-            assert_eq!(
-                escalate_obs::jsonl::json_string_field(record, "schema").as_deref(),
-                Some(MANIFEST_SCHEMA)
-            );
-            assert_eq!(
-                escalate_obs::jsonl::json_string_field(record, "name").as_deref(),
-                Some(accel)
-            );
-            assert!(escalate_obs::jsonl::json_f64_field(record, "mean_cycles").unwrap() > 0.0);
+            let record = escalate_obs::Json::parse(record).expect("a strict JSON record");
+            let field = |key: &str| record.get(key).expect(key);
+            assert_eq!(field("schema").as_str(), Some(MANIFEST_SCHEMA));
+            assert_eq!(field("name").as_str(), Some(accel));
+            assert!(field("mean_cycles").as_f64().unwrap() > 0.0);
         }
         assert!(out.contains("vs Eyeriss"), "{out}");
         assert!(out.contains("ESCALATE"), "{out}");

@@ -8,11 +8,11 @@
 //! `rejected`/`error`) frame, then stream one `unit` frame per completed
 //! work unit — each embedding an `escalate-run-manifest/v1` record — and
 //! finish with a `done` frame carrying the rendered output, byte-identical
-//! to the one-shot CLI's. Frames and requests are hand-rendered/scanned
-//! (no external JSON dependency), mirroring the rest of the workspace.
+//! to the one-shot CLI's. Frames are rendered through `JsonWriter` and
+//! requests read through the strict `Json::parse`, like every other JSON
+//! text in the workspace.
 
-use escalate_obs::jsonl::{json_bool_field, json_has_field, json_string_field, json_u64_field};
-use escalate_obs::JsonWriter;
+use escalate_obs::{Json, JsonWriter};
 use std::io::{BufRead, Read, Write};
 
 /// Protocol schema identifier (the `"schema"` field of `accepted` frames).
@@ -135,74 +135,85 @@ impl Request {
     }
 }
 
-/// An optional request field: `default` when the key is absent, an error
-/// naming the field when it is present but `scan` cannot read it — a
-/// malformed value never silently becomes the default.
-fn optional<T>(
-    line: &str,
-    key: &str,
-    what: &str,
-    default: T,
-    scan: fn(&str, &str) -> Option<T>,
-) -> Result<T, String> {
-    if !json_has_field(line, key) {
-        return Ok(default);
-    }
-    scan(line, key).ok_or_else(|| format!("field {key:?} must be {what}"))
-}
-
-/// Parses one request line.
+/// Parses one request line: a JSON object whose `"verb"` names the
+/// request and whose other members are fields that verb takes. An absent
+/// optional field takes its default.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message naming the missing/invalid field; the
-/// server sends it back verbatim in an `error` frame.
+/// Returns a user-facing message — naming the field, for a missing or
+/// mistyped one or one the verb does not take — which the server sends
+/// back verbatim in an `error` frame.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let verb = json_string_field(line, "verb")
-        .ok_or_else(|| "request has no \"verb\" field".to_string())?;
-    let model = |l: &str| {
-        json_string_field(l, "model")
-            .ok_or_else(|| format!("{verb:?} request has no \"model\" field"))
+    let not_object = "request must be one JSON object with a \"verb\" field";
+    let req = Json::parse(line).map_err(|e| format!("{not_object}: {e}"))?;
+    let Json::Object(members) = &req else {
+        return Err(not_object.into());
     };
-    let uint = |key: &str, default: u64| {
-        optional(line, key, "an unsigned integer", default, json_u64_field)
+    let verb = req.get("verb").ok_or("request has no \"verb\" field")?;
+    let verb = verb.as_str().ok_or("field \"verb\" must be a string")?;
+    let takes: &[&str] = match verb {
+        "simulate" => &["model", "m", "seeds", "schedule"],
+        "compress" => &["model", "m", "qat", "seed", "layers"],
+        "report" => &["experiment"],
+        "metrics" | "ping" | "shutdown" => &[],
+        other => {
+            return Err(format!(
+                "unknown verb {other:?} (expected simulate|compress|report|metrics|ping|shutdown)"
+            ))
+        }
+    };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(k, _)| k != "verb" && !takes.contains(&&**k))
+    {
+        return Err(format!("{verb:?} request does not take field {key:?}"));
+    }
+    let mistyped = |key: &str, what: &str| format!("field {key:?} must be {what}");
+    let string = |key: &str, default: Option<&str>| match (req.get(key), default) {
+        (Some(v), _) => v
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| mistyped(key, "a string")),
+        (None, d) => d
+            .map(str::to_string)
+            .ok_or_else(|| format!("{verb:?} request has no {key:?} field")),
+    };
+    let uint = |key: &str, default: u64| match req.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| mistyped(key, "an unsigned integer")),
     };
     let size = |key: &str, default: usize| {
-        optional(line, key, "an unsigned integer", default, |l, k| {
-            json_u64_field(l, k).and_then(|v| usize::try_from(v).ok())
-        })
+        usize::try_from(uint(key, default as u64)?)
+            .map_err(|_| mistyped(key, "an unsigned integer"))
     };
-    match verb.as_str() {
-        "simulate" => Ok(Request::Simulate {
-            model: model(line)?,
+    Ok(match verb {
+        "simulate" => Request::Simulate {
+            model: string("model", None)?,
             m: size("m", 6)?,
             seeds: uint("seeds", 1)?,
-            schedule: optional(
-                line,
-                "schedule",
-                "a string",
-                "serial".into(),
-                json_string_field,
-            )?,
-        }),
-        "compress" => Ok(Request::Compress {
-            model: model(line)?,
+            schedule: string("schedule", Some("serial"))?,
+        },
+        "compress" => Request::Compress {
+            model: string("model", None)?,
             m: size("m", 6)?,
             qat: size("qat", 0)?,
             seed: uint("seed", 42)?,
-            layers: optional(line, "layers", "true or false", false, json_bool_field)?,
-        }),
-        "report" => Ok(Request::Report {
-            experiment: json_string_field(line, "experiment")
-                .ok_or_else(|| "\"report\" request has no \"experiment\" field".to_string())?,
-        }),
-        "metrics" => Ok(Request::Metrics),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!(
-            "unknown verb {other:?} (expected simulate|compress|report|metrics|ping|shutdown)"
-        )),
-    }
+            layers: match req.get("layers") {
+                None => false,
+                Some(Json::Bool(b)) => *b,
+                Some(_) => return Err(mistyped("layers", "true or false")),
+            },
+        },
+        "report" => Request::Report {
+            experiment: string("experiment", None)?,
+        },
+        "metrics" => Request::Metrics,
+        "ping" => Request::Ping,
+        _ => Request::Shutdown, // `takes` admitted no other verb
+    })
 }
 
 /// Reads one frame line, bounded by [`MAX_FRAME`]. `Ok(None)` on a clean
@@ -411,11 +422,12 @@ mod tests {
             frame_shutdown(9),
         ] {
             assert!(!f.contains('\n'), "frames must be single lines: {f}");
+            assert!(Json::parse(&f).is_ok(), "frames must be strict JSON: {f}");
             assert!(f.starts_with("{\"type\": \""), "{f}");
         }
-        let done = frame_done(1, 4, 12.5, "table\ntext");
+        let done = Json::parse(&frame_done(1, 4, 12.5, "table\ntext")).unwrap();
         assert_eq!(
-            json_string_field(&done, "output").as_deref(),
+            done.get("output").and_then(Json::as_str),
             Some("table\ntext"),
             "the rendered output survives the JSON round trip"
         );

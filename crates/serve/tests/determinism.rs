@@ -4,7 +4,7 @@
 
 use escalate_bench::{render, run_model, ACCELERATOR_NAMES};
 use escalate_models::ModelProfile;
-use escalate_obs::jsonl::{json_f64_field, json_raw_field, json_string_field};
+use escalate_obs::Json;
 use escalate_serve::{start, submit, Request, ServeOptions};
 use escalate_sim::SimConfig;
 
@@ -37,22 +37,23 @@ fn served_simulate_is_bit_identical_to_the_one_shot_cli() {
     handle.join().expect("clean exit");
     assert!(shutdown.is_ok());
 
+    let frames: Vec<Json> = frames
+        .iter()
+        .map(|f| Json::parse(f).unwrap_or_else(|e| panic!("{e}: {f}")))
+        .collect();
+    let kind = |frame: &Json| frame.get("type").and_then(Json::as_str).map(str::to_string);
     let done = frames.last().expect("done frame");
-    assert_eq!(
-        json_string_field(done, "type").as_deref(),
-        Some("done"),
-        "{done}"
-    );
-    let output = json_string_field(done, "output").expect("output");
+    assert_eq!(kind(done).as_deref(), Some("done"), "{done:?}");
+    let output = done.get("output").and_then(Json::as_str).expect("output");
     assert_eq!(
         output, expected,
         "served output must be byte-identical to the one-shot table"
     );
 
     // The streamed unit records carry the same numbers, in design order.
-    let units: Vec<&String> = frames
+    let units: Vec<&Json> = frames
         .iter()
-        .filter(|f| json_string_field(f, "type").as_deref() == Some("unit"))
+        .filter(|f| kind(f).as_deref() == Some("unit"))
         .collect();
     assert_eq!(units.len(), ACCELERATOR_NAMES.len());
     let runs = [
@@ -62,25 +63,22 @@ fn served_simulate_is_bit_identical_to_the_one_shot_cli() {
         &expected_run.escalate,
     ];
     for (frame, run) in units.iter().zip(runs) {
-        let unit = json_raw_field(frame, "record").expect("record");
+        let unit = frame.get("record").expect("record");
+        let f64_member = |key: &str| unit.get(key).and_then(Json::as_f64).expect(key);
         assert_eq!(
-            json_string_field(unit, "name").as_deref(),
+            unit.get("name").and_then(Json::as_str),
             Some(run.name.as_str()),
-            "{unit}"
+            "{unit:?}"
         );
         assert_eq!(
-            json_f64_field(unit, "mean_cycles")
-                .expect("cycles")
-                .to_bits(),
+            f64_member("mean_cycles").to_bits(),
             run.cycles.to_bits(),
-            "{unit}"
+            "{unit:?}"
         );
         assert_eq!(
-            json_f64_field(unit, "mean_energy_pj")
-                .expect("energy")
-                .to_bits(),
+            f64_member("mean_energy_pj").to_bits(),
             run.energy_pj.to_bits(),
-            "{unit}"
+            "{unit:?}"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! Server lifecycles share the process-global metrics slot, so every
 //! test that starts a daemon holds [`SERVER_LOCK`].
 
-use escalate_obs::jsonl::{json_raw_field, json_string_field, json_u64_field};
+use escalate_obs::Json;
 use escalate_serve::proto::{parse_request, read_frame, write_frame, MAX_FRAME};
 use escalate_serve::{start, submit, Request, ServeOptions};
 use std::io::BufReader;
@@ -21,14 +21,32 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// A response frame, which must be strict JSON.
+fn parse(frame: &str) -> Json {
+    Json::parse(frame).unwrap_or_else(|e| panic!("{e}: {frame}"))
+}
+
+/// A string member of a response frame.
+fn string_member(frame: &str, key: &str) -> Option<String> {
+    parse(frame).get(key)?.as_str().map(str::to_string)
+}
+
+/// An unsigned-integer member of a response frame.
+fn u64_member(frame: &str, key: &str) -> Option<u64> {
+    parse(frame).get(key)?.as_u64()
+}
+
 fn frame_type(frame: &str) -> String {
-    json_string_field(frame, "type").unwrap_or_default()
+    string_member(frame, "type").unwrap_or_default()
 }
 
 /// A counter of a `metrics` frame (nested under `registry.counters`).
 fn counter(metrics: &str, name: &str) -> Option<u64> {
-    let registry = json_raw_field(metrics, "registry")?;
-    json_u64_field(json_raw_field(registry, "counters")?, name)
+    parse(metrics)
+        .get("registry")?
+        .get("counters")?
+        .get(name)?
+        .as_u64()
 }
 
 /// A raw connection speaking arbitrary bytes (the well-behaved path is
@@ -58,7 +76,7 @@ fn shutdown(port: u16) -> u64 {
     let frames = submit(port, &Request::Shutdown).expect("shutdown");
     let last = frames.last().expect("shutdown frame");
     assert_eq!(frame_type(last), "shutdown", "{last}");
-    json_u64_field(last, "jobs_done").expect("jobs_done")
+    u64_member(last, "jobs_done").expect("jobs_done")
 }
 
 /// Polls the daemon's metrics until counter `name` reaches `at_least`.
@@ -112,9 +130,9 @@ fn present_but_malformed_fields_are_errors_naming_the_field() {
     }
 }
 
-/// Sends one raw request line to a fresh daemon and requires a `pong`
-/// back, then a daemon that still serves new connections.
-fn assert_raw_ping_gets_pong(line: &str) {
+/// Sends one raw request line to a fresh daemon and returns its reply,
+/// after requiring a daemon that still serves new connections.
+fn raw_reply(line: &str) -> String {
     let _guard = lock();
     let handle = start(ServeOptions::default()).expect("start");
     let port = handle.port();
@@ -122,24 +140,34 @@ fn assert_raw_ping_gets_pong(line: &str) {
     let mut conn = Raw::connect(port);
     conn.send(line);
     let reply = conn.recv().expect("reply");
-    assert_eq!(frame_type(&reply), "pong", "{line} -> {reply}");
     drop(conn);
     let frames = submit(port, &Request::Ping).expect("daemon still up");
     assert_eq!(frame_type(frames.last().unwrap()), "pong");
 
     shutdown(port);
     handle.join().expect("clean exit");
+    reply
 }
 
 #[test]
 fn a_verb_with_whitespace_before_the_colon_is_read() {
-    assert_raw_ping_gets_pong("{\"verb\" : \"ping\"}");
+    let reply = raw_reply("{\"verb\" : \"ping\"}");
+    assert_eq!(frame_type(&reply), "pong", "{reply}");
 }
 
 #[test]
 fn a_nested_verb_never_shadows_the_top_level_one() {
-    // The nested "shutdown" is a member of "x", not of the request.
-    assert_raw_ping_gets_pong("{\"x\": {\"verb\": \"shutdown\"}, \"verb\": \"ping\"}");
+    // The nested "shutdown" is a member of "x", not of the request, and
+    // "ping" takes no field "x": the request is refused, naming it, and
+    // the daemon stays up.
+    let reply = raw_reply("{\"x\": {\"verb\": \"shutdown\"}, \"verb\": \"ping\"}");
+    assert_eq!(frame_type(&reply), "error", "{reply}");
+    assert!(
+        string_member(&reply, "message")
+            .unwrap_or_default()
+            .contains("\"x\""),
+        "{reply}"
+    );
 }
 
 #[test]
@@ -148,6 +176,7 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
     let handle = start(ServeOptions::default()).expect("start");
     let port = handle.port();
 
+    let deep = format!("{{\"verb\":{}", "[".repeat(60_000));
     let mut conn = Raw::connect(port);
     for (bad, names) in [
         ("not json at all", "verb"),
@@ -165,7 +194,7 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
         ),
         (
             "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":+7}",
-            "\"m\"",
+            "expected a value at byte 43",
         ),
         (
             "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"m\":\"7\"}",
@@ -175,12 +204,33 @@ fn malformed_frames_get_errors_and_the_connection_stays_usable() {
             "{\"verb\": \"simulate\", \"model\": \"MobileNet\", \"seeds\": 1.5}",
             "\"seeds\"",
         ),
+        // Strict parsing: neither copy of a duplicate key, nor a second
+        // request after the first, nor a key the verb does not take is
+        // ever read, and deep nesting is cut off before it can exhaust
+        // the stack. None of them may shut the daemon down.
+        (
+            "{\"verb\":\"ping\",\"verb\":\"shutdown\"}",
+            "duplicate key at byte 15",
+        ),
+        (
+            "{\"verb\":\"ping\"} {\"verb\":\"shutdown\"}",
+            "trailing bytes at byte 16",
+        ),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"seed\":3}",
+            "does not take field \"seed\"",
+        ),
+        (
+            "{\"verb\":\"simulate\",\"model\":\"MobileNet\",\"M\":6}",
+            "does not take field \"M\"",
+        ),
+        (&deep, "nesting deeper than 32"),
     ] {
         conn.send(bad);
         let reply = conn.recv().expect("reply");
         assert_eq!(frame_type(&reply), "error", "{reply}");
         assert!(
-            json_string_field(&reply, "message")
+            string_member(&reply, "message")
                 .unwrap_or_default()
                 .contains(names),
             "{reply}"
@@ -210,7 +260,7 @@ fn oversized_requests_are_rejected_without_buffering_them() {
     let reply = conn.recv().expect("error frame");
     assert_eq!(frame_type(&reply), "error", "{reply}");
     assert!(
-        json_string_field(&reply, "message")
+        string_member(&reply, "message")
             .unwrap_or_default()
             .contains("exceeds"),
         "{reply}"
@@ -292,7 +342,7 @@ fn identical_in_flight_jobs_share_one_artifact_computation() {
             let frames = t.join().expect("client thread");
             let done = frames.last().expect("done frame").clone();
             assert_eq!(frame_type(&done), "done", "{done}");
-            json_string_field(&done, "output").expect("output")
+            string_member(&done, "output").expect("output")
         })
         .collect();
     assert_eq!(outputs[0], outputs[1], "both clients get identical output");
@@ -371,15 +421,15 @@ fn identical_queued_submissions_coalesce_into_one_execution() {
     for conn in &mut conns {
         let accepted = conn.recv().expect("accepted");
         assert_eq!(frame_type(&accepted), "accepted", "{accepted}");
-        let id = json_u64_field(&accepted, "job").expect("job id");
+        let id = u64_member(&accepted, "job").expect("job id");
         let mut units = 0;
         loop {
             let frame = conn.recv().expect("stream");
-            assert_eq!(json_u64_field(&frame, "job"), Some(id), "{frame}");
+            assert_eq!(u64_member(&frame, "job"), Some(id), "{frame}");
             match frame_type(&frame).as_str() {
                 "unit" => units += 1,
                 "done" => {
-                    outputs.push(json_string_field(&frame, "output").expect("output"));
+                    outputs.push(string_member(&frame, "output").expect("output"));
                     break;
                 }
                 other => panic!("unexpected {other}: {frame}"),
@@ -457,7 +507,7 @@ fn a_full_queue_answers_rejected_with_a_retry_hint() {
     }
     let rejected = rejected.expect("a rejection before 8 submissions");
     assert!(
-        json_u64_field(&rejected, "retry_after_ms").unwrap_or(0) > 0,
+        u64_member(&rejected, "retry_after_ms").unwrap_or(0) > 0,
         "{rejected}"
     );
     // Accepted jobs still complete.

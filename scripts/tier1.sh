@@ -14,6 +14,10 @@ cd "$(dirname "$0")/.."
 # would cover only the facade and silently skip every member crate's
 # binaries and test targets.
 cargo build --release --offline --workspace
+# perfbench is its own package outside the workspace and the one caller
+# of the escalate-obs reader API beyond it: build it here so an API break
+# fails the gate, not only the benchmark.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --workspace
 # The observability crate is dependency-free and cheap: exercise its full
 # test matrix (unit + doc tests) explicitly so a workspace-level filter

@@ -7,6 +7,8 @@ use escalate::models::{synth, LayerShape};
 use escalate::sim::workload::CoefMasks;
 use escalate::sim::{simulate_layer, LayerWorkload, SimConfig, Workload, WorkloadMode};
 use escalate_bench::run_escalate_workload;
+use escalate_bench::sweep::SweepRecord;
+use escalate_obs::Json;
 use proptest::prelude::*;
 
 fn small_layer() -> impl Strategy<Value = LayerShape> {
@@ -194,4 +196,97 @@ fn derived_eviction_pressure_keeps_results_identical() {
     // eviction pressure must actually have occurred (other tests share
     // the process-global cache, so assert a floor, not an exact count).
     assert!(evicted >= 8, "expected sustained evictions, saw {evicted}");
+}
+
+/// Real texts the JSON reader takes in: a serve request, a unit frame
+/// (an `escalate-run-manifest/v1` record inside a frame, as the daemon
+/// streams it) and a sweep stream record from its writer.
+fn json_corpus() -> Vec<String> {
+    let sweep = SweepRecord {
+        key: "MobileNet/s007-00000000deadbeef-n1".into(),
+        network: "MobileNet".into(),
+        sample: 7,
+        seed: 0xdead_beef,
+        point: escalate::sim::DesignPoint::table2(),
+        input_seeds: 1,
+        cycles: 711_816.0,
+        dram_mb: 15.45312,
+        energy_mj: 5.620360885495254,
+        area_mm2: 4.5296,
+    };
+    vec![
+        "{\"verb\": \"compress\", \"model\": \"gen:dilated:blocks=2\", \"m\": 6, \
+         \"qat\": 0, \"seed\": 42, \"layers\": false}"
+            .into(),
+        "{\"type\": \"unit\", \"job\": 1, \"record\": {\"key\": \"simulate/MobileNet/Eyeriss\", \
+         \"schema\": \"escalate-run-manifest/v1\", \"name\": \"Eyeriss\", \"mean_cycles\": 711816, \
+         \"mean_dram_bytes\": 15453120, \"mean_energy_pj\": 5620360885.495254}}"
+            .into(),
+        sweep.to_json_line(),
+    ]
+}
+
+/// Bytes that steer random text toward JSON's structure.
+const JSON_BYTES: &[u8] = b"{}[]\",:-+.0123456789eE \\/utrfalsn\xc3\xa9";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever the bytes, the reader answers `Ok` or `Err`; it never
+    /// panics.
+    #[test]
+    fn json_reader_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(
+            prop_oneof![any::<u8>(), (0..JSON_BYTES.len()).prop_map(|i| JSON_BYTES[i])],
+            0..96,
+        ),
+    ) {
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Every proper prefix of a real request, frame or record is an error
+/// (an object is not closed before its last byte), and every single-byte
+/// mutation of one parses or errs without panicking.
+#[test]
+fn json_reader_survives_cut_and_mutated_real_texts() {
+    for text in json_corpus() {
+        assert!(Json::parse(&text).is_ok(), "{text}");
+        let bytes = text.as_bytes();
+        for end in 0..bytes.len() {
+            let cut = String::from_utf8_lossy(&bytes[..end]);
+            assert!(Json::parse(&cut).is_err(), "{cut}");
+        }
+        let mut mutated = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for byte in 0..=u8::MAX {
+                mutated[at] = byte;
+                let _ = Json::parse(&String::from_utf8_lossy(&mutated));
+            }
+            mutated[at] = bytes[at];
+        }
+    }
+}
+
+/// Nesting is capped at depth 32, and the cap is what keeps a 60 000-deep
+/// text from exhausting a small thread stack.
+#[test]
+fn json_nesting_is_capped_at_depth_32() {
+    let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let objects = |depth: usize| format!("{}0{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+    for nest in [arrays, objects] {
+        assert!(Json::parse(&nest(32)).is_ok());
+        assert_eq!(
+            Json::parse(&nest(33)).map_err(|e| e.reason),
+            Err("nesting deeper than 32")
+        );
+    }
+    let deep = "[".repeat(60_000);
+    let parsed = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || Json::parse(&deep).map_err(|e| e.reason))
+        .expect("spawn a 256 KiB-stack thread")
+        .join()
+        .expect("the parse returns instead of overflowing the stack");
+    assert_eq!(parsed, Err("nesting deeper than 32"));
 }
