@@ -188,21 +188,15 @@ fn model_arg(args: &ParsedArgs) -> Result<ModelProfile, CliError> {
     profile(name)
 }
 
-/// Parses a `--schedule` option into a [`ScheduleKind`] (default serial).
-/// `--m`, the basis-kernel count (default 6), where no MAC budget bounds
-/// it (`compress`, `characterize`): still at least 1, since no layer
-/// decomposes into zero basis kernels.
-fn basis_count_arg(args: &ParsedArgs) -> Result<usize, CliError> {
-    match args.get_or("m", 6usize)? {
-        0 => Err(CliError::Args(ArgError::BadValue {
-            option: "m".into(),
-            value: "0".into(),
-            expected: "a basis count of at least 1",
-        })),
-        m => Ok(m),
-    }
+/// The default compression configuration with `--m` basis kernels
+/// (default 6); `compress` and `characterize` share its check of `m`.
+fn compression_arg(args: &ParsedArgs) -> Result<CompressionConfig, CliError> {
+    CompressionConfig::default()
+        .try_with_m(args.get_or("m", 6usize)?)
+        .map_err(|e| CliError::Pipeline(e.to_string()))
 }
 
+/// Parses a `--schedule` option into a [`ScheduleKind`] (default serial).
 fn schedule_arg(args: &ParsedArgs) -> Result<ScheduleKind, CliError> {
     match args.options.get("schedule") {
         None => Ok(ScheduleKind::default()),
@@ -316,10 +310,9 @@ fn cmd_compress(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known(&["m", "qat", "seed", "layers", "out"])?;
     let p = model_arg(args)?;
     let cfg = CompressionConfig {
-        m: basis_count_arg(args)?,
         qat_epochs: args.get_or("qat", 0usize)?,
         seed: args.get_or("seed", 42u64)?,
-        ..CompressionConfig::default()
+        ..compression_arg(args)?
     };
     let artifacts =
         compress_model_artifacts(&p, &cfg).map_err(|e| CliError::Pipeline(e.to_string()))?;
@@ -585,7 +578,7 @@ fn cmd_validate(args: &ParsedArgs) -> Result<String, CliError> {
 fn cmd_characterize(args: &ParsedArgs) -> Result<String, CliError> {
     args.ensure_known(&["m"])?;
     let p = model_arg(args)?;
-    let m = basis_count_arg(args)?;
+    let m = compression_arg(args)?.m;
     let ch = escalate_models::analysis::ModelCharacter::of(&p, m);
     let mut out = format!(
         "{:<24} {:>12} {:>10} {:>10} {:>9} {:>9}\n",
@@ -832,11 +825,11 @@ mod tests {
     fn compress_and_characterize_reject_zero_basis_kernels() {
         for cmd in ["compress", "characterize"] {
             let err = run(&[cmd, "MobileNet", "--m", "0"]).unwrap_err();
-            assert!(
-                matches!(&err, CliError::Args(ArgError::BadValue { option, .. }) if option == "m"),
-                "{cmd}: expected an --m error, got: {err}"
+            assert_eq!(
+                err.to_string(),
+                "pipeline failure: basis count 0: m must be at least 1",
+                "{cmd}"
             );
-            assert!(err.to_string().contains("at least 1"), "{cmd}: {err}");
         }
     }
 

@@ -15,6 +15,9 @@ pub enum EscalateError {
         /// Kernel area `R*S` bounding it.
         rs: usize,
     },
+    /// A compression was configured with no basis kernels (`m = 0`),
+    /// which no layer can decompose into.
+    NoBasisKernels,
     /// The layer kind cannot be decomposed (e.g. an FC layer).
     NotDecomposable {
         /// Name of the offending layer.
@@ -42,6 +45,9 @@ impl std::fmt::Display for EscalateError {
                     f,
                     "basis count {m} is outside 1..={rs} (the kernel area R*S)"
                 )
+            }
+            EscalateError::NoBasisKernels => {
+                write!(f, "basis count 0: m must be at least 1")
             }
             EscalateError::NotDecomposable { layer } => {
                 write!(f, "layer {layer} cannot be decomposed")
@@ -79,6 +85,7 @@ mod tests {
     fn display_is_nonempty() {
         let errs: Vec<EscalateError> = vec![
             EscalateError::InvalidBasisCount { m: 10, rs: 9 },
+            EscalateError::NoBasisKernels,
             EscalateError::NotDecomposable { layer: "fc".into() },
             EscalateError::InvalidQuantization {
                 what: "bits=0".into(),

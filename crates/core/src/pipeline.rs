@@ -63,6 +63,22 @@ impl Default for CompressionConfig {
     }
 }
 
+impl CompressionConfig {
+    /// This configuration with `m` basis kernels: the one check of a
+    /// basis count that holds for every model. Each decomposed layer
+    /// further bounds `m` by its kernel area `R*S`.
+    ///
+    /// # Errors
+    ///
+    /// [`EscalateError::NoBasisKernels`] when `m` is 0.
+    pub fn try_with_m(&self, m: usize) -> Result<CompressionConfig, EscalateError> {
+        if m == 0 {
+            return Err(EscalateError::NoBasisKernels);
+        }
+        Ok(CompressionConfig { m, ..*self })
+    }
+}
+
 /// Compression outcome for one layer (or one fused DSC pair).
 #[derive(Debug, Clone)]
 pub struct LayerCompression {
@@ -743,6 +759,20 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         let d = synth_weights(&layer, 3, 0.1, 0xfeed_2002, true);
         assert!(!Arc::ptr_eq(&a, &d));
+    }
+
+    #[test]
+    fn try_with_m_rejects_zero_basis_kernels() {
+        let base = CompressionConfig {
+            seed: 7,
+            ..CompressionConfig::default()
+        };
+        let five = base.try_with_m(5).unwrap();
+        assert_eq!((five.m, five.seed), (5, 7));
+        assert_eq!(
+            base.try_with_m(0).unwrap_err(),
+            EscalateError::NoBasisKernels
+        );
     }
 
     #[test]

@@ -64,22 +64,18 @@ impl CompiledJob {
                 qat,
                 seed,
                 layers,
-            } => {
-                if *m == 0 {
-                    return Err("m must be at least 1 (the basis-kernel count), got 0".into());
-                }
-                Ok(CompiledJob::Compress(CompressPlan {
-                    profile: resolve(model)?,
-                    cfg: CompressionConfig {
-                        m: *m,
-                        qat_epochs: *qat,
-                        seed: *seed,
-                        ..CompressionConfig::default()
-                    },
-                    layers: *layers,
-                    output: Mutex::new(None),
-                }))
-            }
+            } => Ok(CompiledJob::Compress(CompressPlan {
+                profile: resolve(model)?,
+                cfg: CompressionConfig {
+                    qat_epochs: *qat,
+                    seed: *seed,
+                    ..CompressionConfig::default()
+                        .try_with_m(*m)
+                        .map_err(|e| e.to_string())?
+                },
+                layers: *layers,
+                output: Mutex::new(None),
+            })),
             Request::Report { experiment } => {
                 if escalate_bench::experiments::find(experiment).is_none() {
                     return Err(format!(
@@ -396,7 +392,7 @@ mod tests {
         let Err(e) = CompiledJob::compile(&bad) else {
             panic!("m = 0 must not compile")
         };
-        assert!(e.contains("m must be at least 1"), "{e}");
+        assert_eq!(e, "basis count 0: m must be at least 1");
         assert!(CompiledJob::compile(&Request::Ping).is_err());
     }
 

@@ -147,73 +147,77 @@ impl Request {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let not_object = "request must be one JSON object with a \"verb\" field";
     let req = Json::parse(line).map_err(|e| format!("{not_object}: {e}"))?;
-    let Json::Object(members) = &req else {
+    let Json::Object(mut members) = req else {
         return Err(not_object.into());
     };
-    let verb = req.get("verb").ok_or("request has no \"verb\" field")?;
-    let verb = verb.as_str().ok_or("field \"verb\" must be a string")?;
-    let takes: &[&str] = match verb {
-        "simulate" => &["model", "m", "seeds", "schedule"],
-        "compress" => &["model", "m", "qat", "seed", "layers"],
-        "report" => &["experiment"],
-        "metrics" | "ping" | "shutdown" => &[],
+    let verb = take(&mut members, "verb", STRING)?.ok_or("request has no \"verb\" field")?;
+    let required = |key: &str, v: Option<String>| {
+        v.ok_or_else(|| format!("{verb:?} request has no {key:?} field"))
+    };
+    let req = match verb.as_str() {
+        "simulate" => Request::Simulate {
+            model: required("model", take(&mut members, "model", STRING)?)?,
+            m: take(&mut members, "m", SIZE)?.unwrap_or(6),
+            seeds: take(&mut members, "seeds", UINT)?.unwrap_or(1),
+            schedule: take(&mut members, "schedule", STRING)?.unwrap_or("serial".into()),
+        },
+        "compress" => Request::Compress {
+            model: required("model", take(&mut members, "model", STRING)?)?,
+            m: take(&mut members, "m", SIZE)?.unwrap_or(6),
+            qat: take(&mut members, "qat", SIZE)?.unwrap_or(0),
+            seed: take(&mut members, "seed", UINT)?.unwrap_or(42),
+            layers: take(&mut members, "layers", FLAG)?.unwrap_or(false),
+        },
+        "report" => Request::Report {
+            experiment: required("experiment", take(&mut members, "experiment", STRING)?)?,
+        },
+        "metrics" => Request::Metrics,
+        "ping" => Request::Ping,
+        "shutdown" => Request::Shutdown,
         other => {
             return Err(format!(
                 "unknown verb {other:?} (expected simulate|compress|report|metrics|ping|shutdown)"
             ))
         }
     };
-    if let Some((key, _)) = members
-        .iter()
-        .find(|(k, _)| k != "verb" && !takes.contains(&&**k))
-    {
-        return Err(format!("{verb:?} request does not take field {key:?}"));
+    // Every field the verb takes has been taken out; a member left over
+    // is one it does not take.
+    match members.first() {
+        Some((key, _)) => Err(format!("{verb:?} request does not take field {key:?}")),
+        None => Ok(req),
     }
-    let mistyped = |key: &str, what: &str| format!("field {key:?} must be {what}");
-    let string = |key: &str, default: Option<&str>| match (req.get(key), default) {
-        (Some(v), _) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| mistyped(key, "a string")),
-        (None, d) => d
-            .map(str::to_string)
-            .ok_or_else(|| format!("{verb:?} request has no {key:?} field")),
+}
+
+/// How a request field is read: what its value must be, and the reading.
+type Reader<T> = (&'static str, fn(Json) -> Option<T>);
+
+const STRING: Reader<String> = ("a string", |v| match v {
+    Json::String(s) => Some(s),
+    _ => None,
+});
+const UINT: Reader<u64> = ("an unsigned integer", |v| v.as_u64());
+const SIZE: Reader<usize> = ("an unsigned integer", |v| {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+});
+const FLAG: Reader<bool> = ("true or false", |v| match v {
+    Json::Bool(b) => Some(b),
+    _ => None,
+});
+
+/// Takes `key`'s member out of a request's unread `members`: `None` when
+/// it is absent (the caller's default applies), an error naming the field
+/// when its value is not what `read` wants.
+fn take<T>(
+    members: &mut Vec<(String, Json)>,
+    key: &str,
+    (what, read): Reader<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = members.iter().position(|(k, _)| k == key) else {
+        return Ok(None);
     };
-    let uint = |key: &str, default: u64| match req.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| mistyped(key, "an unsigned integer")),
-    };
-    let size = |key: &str, default: usize| {
-        usize::try_from(uint(key, default as u64)?)
-            .map_err(|_| mistyped(key, "an unsigned integer"))
-    };
-    Ok(match verb {
-        "simulate" => Request::Simulate {
-            model: string("model", None)?,
-            m: size("m", 6)?,
-            seeds: uint("seeds", 1)?,
-            schedule: string("schedule", Some("serial"))?,
-        },
-        "compress" => Request::Compress {
-            model: string("model", None)?,
-            m: size("m", 6)?,
-            qat: size("qat", 0)?,
-            seed: uint("seed", 42)?,
-            layers: match req.get("layers") {
-                None => false,
-                Some(Json::Bool(b)) => *b,
-                Some(_) => return Err(mistyped("layers", "true or false")),
-            },
-        },
-        "report" => Request::Report {
-            experiment: string("experiment", None)?,
-        },
-        "metrics" => Request::Metrics,
-        "ping" => Request::Ping,
-        _ => Request::Shutdown, // `takes` admitted no other verb
-    })
+    read(members.remove(i).1)
+        .map(Some)
+        .ok_or_else(|| format!("field {key:?} must be {what}"))
 }
 
 /// Reads one frame line, bounded by [`MAX_FRAME`]. `Ok(None)` on a clean
